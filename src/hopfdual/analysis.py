@@ -298,7 +298,8 @@ def sweep(
 
 SWEEP_HEADER = (
     "tau,regime,amp_meas,period_meas,mean_meas,"
-    "amp_pred,period_pred,mean_offset_pred,amp_err,period_err,status"
+    "amp_pred,period_pred,mean_offset_pred,amp_err,period_err,status,"
+    "mean_offset_err"
 )
 
 
@@ -325,6 +326,7 @@ def write_sweep_csv(rows: list[DiagramRow], path) -> None:
                         fmt(r.amp_err),
                         fmt(r.period_err),
                         r.status,
+                        fmt(r.mean_offset_err),
                     ]
                 )
                 + "\n"

@@ -3,8 +3,21 @@
 Method of steps with classical fixed-step RK4: the delayed price
 p(t - tau) at each stage time is read from cubic Hermite interpolation over
 the already-computed (value, derivative) nodes, or from the initial history
-for t - tau <= 0. With step <= tau/10 every delayed lookup lands at least
-several nodes behind the current step, so the scheme stays explicit.
+for t - tau <= 0.
+
+Once the delayed price is known the equation is linear in p:
+p' = a(t) p with a = k (x(p(t - tau)) - c). One RK4 step is therefore a
+growth factor, p_{n+1} = p_n R_n, where R_n depends only on the delayed
+prices at the step's stage times t_n, t_n + h/2 and t_n + h. With
+lag = tau/step >= 10, those of the next B = ceil(lag) - 2 steps (at least
+8) all lie between nodes that are already computed. `simulate` advances
+one such block at a time: it evaluates the block's delayed prices at once
+(they form a half-step grid of 2B + 1 points, as the last stage time of a
+step is the first of the next), calls the demand once on that array, and
+takes the nodes as a running product of the growth factors. The block
+length follows from tau/step; it is not a setting. Without a delay
+(tau = 0) the stage prices are not delayed, the step does not factor, and
+a plain scalar RK4 loop integrates the ODE.
 
 The node derivative stored for Hermite interpolation is the RK4 first-stage
 slope, i.e. the exact right-hand side at the node, which makes the dense
@@ -21,7 +34,13 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DelayedLookupGap, NumericalError, PositivityLoss, ValidationError
+from .errors import (
+    DelayedLookupGap,
+    DomainViolation,
+    NumericalError,
+    PositivityLoss,
+    ValidationError,
+)
 from .model import ModelConfig
 
 
@@ -91,6 +110,19 @@ class SampledHistory(HistoryFunction):
         return vs[j] * (1.0 - th) + vs[j + 1] * th
 
 
+def _hermite_weights(th):
+    """Cubic Hermite basis (h00, h10, h01, h11) at fraction th of a step.
+
+    Dense output at node j + th is h00 v[j] + h10 h d[j] + h01 v[j+1]
+    + h11 h d[j+1] for node values v, node derivatives d and step h.
+    """
+    h00 = 2 * th**3 - 3 * th**2 + 1
+    h10 = th**3 - 2 * th**2 + th
+    h01 = -2 * th**3 + 3 * th**2
+    h11 = th**3 - th**2
+    return h00, h10, h01, h11
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Uniform-grid solution samples with node derivatives.
@@ -137,11 +169,7 @@ class Trajectory:
             )
         pos = np.clip((t - self.t0) / self.step, 0.0, len(self.values) - 1.0)
         j = np.minimum(pos.astype(int), len(self.values) - 2)
-        th = pos - j
-        h00 = 2 * th**3 - 3 * th**2 + 1
-        h10 = th**3 - 2 * th**2 + th
-        h01 = -2 * th**3 + 3 * th**2
-        h11 = th**3 - th**2
+        h00, h10, h01, h11 = _hermite_weights(pos - j)
         out = (
             h00 * self.values[j]
             + h10 * self.step * self.derivs[j]
@@ -213,8 +241,10 @@ def simulate(
     ------
     PositivityLoss
         If any computed node price is <= 0 (time reported).
-    DelayedLookupGap
-        If a delayed lookup falls outside covered history (logic guard).
+    NumericalError
+        If any computed node price is non-finite (time reported).
+    DomainViolation
+        If a delayed price leaves the demand's domain.
     """
     tau = config.tau
     if step <= 0:
@@ -232,94 +262,72 @@ def simulate(
     if tau == 0.0:
         return _simulate_ode(config, p0, n, h)
 
-    k, c, x = config.k, config.c, config.demand.x
-
-    def f(p: float, p_delayed: float) -> float:
-        return k * p * (x(p_delayed) - c)
-
-    values = [p0]
-    derivs: list[float] = []
+    k, c, demand = config.k, config.c, config.demand
     lag = tau / h
+    # In units of h, step i reads the delayed price at i - lag (stage 1),
+    # i + 1/2 - lag (stages 2 and 3) and i + 1 - lag (stage 4, which is
+    # stage 1 of step i + 1). For steps s .. s+b-1 these are the 2b + 1
+    # points s + q/2 - lag of a half-step grid; point q lies between nodes
+    # s + left[q] and s + left[q] + 1, with weights that depend only on q.
+    # Stage 4 of the block's last step reads up to node s + b + left[0] + 1,
+    # so blocks of ceil(lag) - 2 steps (at least 8, as step <= tau/10) read
+    # only nodes computed before the block. No block is longer than the run.
+    block = min(-2 - math.floor(-lag), n)
+    half = np.arange(2 * block + 1) / 2.0
+    offset = half - lag
+    left = np.floor(offset)
+    w00, w10, w01, w11 = _hermite_weights(offset - left)
+    w10, w11 = w10 * h, w11 * h
+    left = left.astype(int)
 
-    def lookup(pos: float) -> float:
-        """Delayed price at grid position pos (in units of h, may be < 0)."""
-        if pos <= 0.0:
-            return history(pos * h)
-        j = int(pos)
-        th = pos - j
-        if th == 0.0:
-            if j >= len(values):
-                raise DelayedLookupGap(
-                    f"delayed lookup at t = {pos * h:.6g} ahead of computed nodes"
-                )
-            return values[j]
-        if j + 1 >= len(values) or j + 1 >= len(derivs):
-            raise DelayedLookupGap(
-                f"delayed lookup at t = {pos * h:.6g} ahead of computed nodes"
-            )
-        h00 = 2 * th**3 - 3 * th**2 + 1
-        h10 = th**3 - 2 * th**2 + th
-        h01 = -2 * th**3 + 3 * th**2
-        h11 = th**3 - th**2
-        return (
-            h00 * values[j]
-            + h10 * h * derivs[j]
-            + h01 * values[j + 1]
-            + h11 * h * derivs[j + 1]
-        )
+    # Zeros, not empty: history points read nodes 0 and 1 before those are set.
+    values = np.zeros(n + 1)
+    derivs = np.zeros(n + 1)
+    values[0] = p0
+    growth = np.empty(block + 1)
+    s = 0
+    while s < n:
+        b = min(block, n - s)
+        j = s + left
+        # The leading points of the first blocks still lie in the history.
+        cut = int(np.searchsorted(j, 0)) if j[0] < 0 else 0
+        if cut:
+            j[:cut] = 0
+        pd = w00 * values[j] + w10 * derivs[j] + w01 * values[j + 1] + w11 * derivs[j + 1]
+        if cut:
+            pd[:cut] = [history(t) for t in ((s + half[:cut] - lag) * h).tolist()]
+        pd = pd[: 2 * b + 1]
+        try:
+            x = demand.rates(pd)
+        except DomainViolation:
+            # Fail where one step at a time would: advance only the steps
+            # before the first one that reads a point outside the domain;
+            # the next block then starts at that step and raises.
+            outside = int(np.argmin((demand.lo < pd) & (pd < demand.hi)))
+            b = (outside - 1) // 2
+            if b <= 0:
+                raise
+            pd = pd[: 2 * b + 1]
+            x = demand.rates(pd)
+        a = k * (x - c)
+        a0, a1, a2 = a[0:-1:2], a[1::2], a[2::2]
+        # The RK4 stages are p a0, p a1 g2, p a1 g3 and p a2 g4.
+        a1g2 = a1 * (1.0 + 0.5 * h * a0)
+        a1g3 = a1 * (1.0 + 0.5 * h * a1g2)
+        g4 = 1.0 + h * a1g3
+        growth[0] = values[s]
+        growth[1:b + 1] = 1.0 + (h / 6.0) * (a0 + 2.0 * a1g2 + 2.0 * a1g3 + a2 * g4)
+        np.cumprod(growth[:b + 1], out=values[s:s + b + 1])
+        # Node s + b gets its derivative here too: the last block thus
+        # fills derivs[n], and the next block recomputes the same value.
+        derivs[s:s + b + 1] = a[::2] * values[s:s + b + 1]
+        nodes = values[s + 1:s + b + 1]
+        if not (nodes.min() > 0.0 and nodes.max() < math.inf):
+            i = int(np.argmin(np.isfinite(nodes) & (nodes > 0.0)))
+            _check_node(float(nodes[i]), (s + i + 1) * h)
+        s += b
 
-    # Stage offsets relative to the current node, minus the delay, are the
-    # same every step; precompute the Hermite weights for the post-history
-    # fast path. Stages at c = 0, 1/2, 1 (the two middle stages share the
-    # delayed value at t + h/2).
-    stages = []
-    for cfrac in (0.0, 0.5, 1.0):
-        delta = cfrac - lag
-        m = math.floor(delta)
-        th = delta - m
-        h00 = 2 * th**3 - 3 * th**2 + 1
-        h10 = th**3 - 2 * th**2 + th
-        h01 = -2 * th**3 + 3 * th**2
-        h11 = th**3 - th**2
-        stages.append((m, h00, h10 * h, h01, h11 * h))
-    (m0, a00, a10, a01, a11), (m1, b00, b10, b01, b11), (m2, c00, c10, c01, c11) = stages
-
-    # While any stage's delayed time can touch the initial history, go
-    # through the general lookup; afterwards switch to the fast path.
-    n_hist = min(n, int(math.ceil(lag)) + 2)
-    for i in range(n_hist):
-        p = values[i]
-        pd0 = lookup(i - lag)
-        k1 = f(p, pd0)
-        derivs.append(k1)
-        pd1 = lookup(i + 0.5 - lag)
-        k2 = f(p + 0.5 * h * k1, pd1)
-        k3 = f(p + 0.5 * h * k2, pd1)
-        pd2 = lookup(i + 1.0 - lag)
-        k4 = f(p + h * k3, pd2)
-        p_next = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        _check_node(p_next, (i + 1) * h)
-        values.append(p_next)
-
-    for i in range(n_hist, n):
-        p = values[i]
-        j = i + m0
-        pd0 = a00 * values[j] + a10 * derivs[j] + a01 * values[j + 1] + a11 * derivs[j + 1]
-        k1 = f(p, pd0)
-        derivs.append(k1)
-        j = i + m1
-        pd1 = b00 * values[j] + b10 * derivs[j] + b01 * values[j + 1] + b11 * derivs[j + 1]
-        k2 = f(p + 0.5 * h * k1, pd1)
-        k3 = f(p + 0.5 * h * k2, pd1)
-        j = i + m2
-        pd2 = c00 * values[j] + c10 * derivs[j] + c01 * values[j + 1] + c11 * derivs[j + 1]
-        k4 = f(p + h * k3, pd2)
-        p_next = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        _check_node(p_next, (i + 1) * h)
-        values.append(p_next)
-
-    derivs.append(f(values[n], lookup(n - lag)))
-    return Trajectory(t0=0.0, step=h, values=np.array(values), derivs=np.array(derivs))
+    return Trajectory(t0=0.0, step=h, values=values, derivs=derivs)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -1,7 +1,7 @@
 """Rate-demand curves x(p): price in, sending rate out.
 
 Each family exposes the curve and its first three derivatives on an open
-domain. Demand must be positive and strictly decreasing wherever it is
+domain, and `rates`, the curve over a whole array of prices. Demand must be positive and strictly decreasing wherever it is
 evaluated; the analysis modules rely on x'(p*) < 0.
 """
 
@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from . import numdiff
 from .errors import DomainViolation, ValidationError
@@ -37,8 +39,24 @@ class DemandFunction:
                 f"price {p!r} outside demand domain ({self.lo!r}, {self.hi!r})"
             )
 
+    def _check_array(self, p) -> np.ndarray:
+        p = np.asarray(p, dtype=float)
+        inside = (self.lo < p) & (p < self.hi)
+        if not inside.all():
+            bad = float(p[~inside][0])
+            raise DomainViolation(
+                f"price {bad!r} outside demand domain ({self.lo!r}, {self.hi!r})"
+            )
+        return p
+
     def x(self, p: float) -> float:
         raise NotImplementedError
+
+    def rates(self, p) -> np.ndarray:
+        """x at every price of an array, same shape; the whole array is
+        checked against the domain before any evaluation."""
+        p = self._check_array(p)
+        return np.array([self.x(v) for v in p.ravel().tolist()]).reshape(p.shape)
 
     def dx(self, p: float) -> float:
         raise NotImplementedError
@@ -64,6 +82,9 @@ class Reciprocal(DemandFunction):
     def x(self, p: float) -> float:
         self._check(p)
         return self.w / p
+
+    def rates(self, p) -> np.ndarray:
+        return self.w / self._check_array(p)
 
     def dx(self, p: float) -> float:
         self._check(p)
@@ -95,6 +116,9 @@ class PowerLaw(DemandFunction):
     def x(self, p: float) -> float:
         self._check(p)
         return (self.w / p) ** (1.0 / self.alpha)
+
+    def rates(self, p) -> np.ndarray:
+        return (self.w / self._check_array(p)) ** (1.0 / self.alpha)
 
     def dx(self, p: float) -> float:
         b = 1.0 / self.alpha

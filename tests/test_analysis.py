@@ -180,5 +180,12 @@ def test_sweep_csv_layout(tmp_path):
     assert float(first[0]) == 3.0
     assert first[1] == "equilibrium"
     assert first[5] == ""  # no prediction below the onset
+    assert first[-1] == ""
+    # mean_offset_err is the optional trailing column, after status
+    columns = SWEEP_HEADER.split(",")
+    assert columns[-2:] == ["status", "mean_offset_err"]
+    second = lines[2].split(",")
+    assert second[-2] == "ok"
+    assert float(second[-1]) == rows[1].mean_offset_err
     data = np.genfromtxt(path, delimiter=",", skip_header=1, usecols=(0,))
     np.testing.assert_allclose(data, [3.0, 3.2], rtol=0, atol=0)

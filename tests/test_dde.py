@@ -10,7 +10,12 @@ from conftest import reference_model
 from hopfdual import (
     ConstantHistory,
     DelayedLookupGap,
+    DomainViolation,
+    ModelConfig,
+    NumericalError,
+    NumericWrapper,
     PositivityLoss,
+    PowerLaw,
     SampledHistory,
     Trajectory,
     ValidationError,
@@ -20,6 +25,99 @@ from hopfdual import (
     simulate,
     write_trajectory_csv,
 )
+
+
+def scalar_simulate(config, history, t_end, step):
+    """Reference: the method-of-steps RK4 one step at a time, as `simulate`
+    did before it advanced whole delay blocks (tau > 0 only). Returns the
+    node values and derivatives; raises the errors `simulate` raises."""
+    h, tau = step, config.tau
+    n = int(round(t_end / step))
+    k, c, x = config.k, config.c, config.demand.x
+
+    def f(p, p_delayed):
+        return k * p * (x(p_delayed) - c)
+
+    def check(p, t):
+        if not math.isfinite(p):
+            raise NumericalError(f"price became non-finite at t = {t:.6g}")
+        if p <= 0.0:
+            raise PositivityLoss(t)
+
+    values = [history(0.0)]
+    derivs = []
+    lag = tau / h
+
+    def lookup(pos):
+        if pos <= 0.0:
+            return history(pos * h)
+        j = int(pos)
+        th = pos - j
+        if th == 0.0:
+            return values[j]
+        h00 = 2 * th**3 - 3 * th**2 + 1
+        h10 = th**3 - 2 * th**2 + th
+        h01 = -2 * th**3 + 3 * th**2
+        h11 = th**3 - th**2
+        return (
+            h00 * values[j] + h10 * h * derivs[j]
+            + h01 * values[j + 1] + h11 * h * derivs[j + 1]
+        )
+
+    for i in range(n):
+        p = values[i]
+        k1 = f(p, lookup(i - lag))
+        derivs.append(k1)
+        pd1 = lookup(i + 0.5 - lag)
+        k2 = f(p + 0.5 * h * k1, pd1)
+        k3 = f(p + 0.5 * h * k2, pd1)
+        k4 = f(p + h * k3, lookup(i + 1.0 - lag))
+        p_next = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        check(p_next, (i + 1) * h)
+        values.append(p_next)
+    derivs.append(f(values[n], lookup(n - lag)))
+    return np.array(values), np.array(derivs)
+
+
+def _wavy_history(tau):
+    times = tuple(np.linspace(-1.25 * tau, 0.0, 11))
+    return SampledHistory(times=times, values=tuple(0.02 + 0.004 * np.sin(times)))
+
+
+ORACLE_CASES = {
+    # tau/h = 160 exactly: every delayed stage-1 time falls on a node
+    "integer-lag": (reference_model(2.0), ConstantHistory(0.025), 300.0, 0.0125),
+    # the other cases have tau/h off the integers (here 106.67), except
+    # h = tau/10, where tau/h is 10 to within rounding
+    "non-integer-lag": (reference_model(3.2), ConstantHistory(0.025), 300.0, 0.03),
+    "minimum-lag": (reference_model(3.2), ConstantHistory(0.025), 300.0, 0.32),
+    "sampled-history": (reference_model(3.2), _wavy_history(3.2), 300.0, 0.013),
+    "powerlaw": (
+        ModelConfig(k=0.1, c=5.0, tau=3.0, demand=PowerLaw(w=1.0, alpha=2.0)),
+        ConstantHistory(0.05), 300.0, 0.017,
+    ),
+    "numeric-wrapper": (
+        dataclasses.replace(
+            reference_model(3.3),
+            demand=NumericWrapper(func=lambda p: 1.0 / p, domain_lo=0.0),
+        ),
+        ConstantHistory(0.025), 300.0, 0.021,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_block_integrator_matches_scalar_loop(case):
+    # the growth-factor form reorders the RK4 arithmetic, so agreement is
+    # to round-off accumulated over the run, not bit for bit
+    config, history, t_end, step = ORACLE_CASES[case]
+    traj = simulate(config, history, t_end, step)
+    values, derivs = scalar_simulate(config, history, t_end, step)
+    assert np.ptp(values) > 1e-4  # the case exercises real dynamics
+    np.testing.assert_allclose(traj.values, values, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(
+        traj.derivs, derivs, rtol=1e-12, atol=1e-12 * np.max(np.abs(derivs))
+    )
 
 
 def test_equilibrium_is_preserved():
@@ -125,6 +223,33 @@ def test_positivity_loss_reports_time():
         simulate(model, hist, t_end=10.0, step=1.0)
     assert excinfo.value.time == pytest.approx(1.0, abs=1e-12)
     assert "positive" in str(excinfo.value).lower()
+
+
+def test_positivity_loss_mid_block_reports_node_time():
+    # lag = 10 steps, so steps 0-7 form the first block; only step 4 reads
+    # the whipsaw (stage rates -2, +2, +2, -4), so node t = 5 goes negative
+    # while the nodes after it in the same block are computed too
+    model = dataclasses.replace(reference_model(10.0), k=1.0)
+    hist = SampledHistory(
+        times=(-10.0, -6.5, -6.0, -5.5, -5.0, 0.0),
+        values=(0.02, 0.02, 1.0 / 48.0, 1.0 / 52.0, 1.0 / 46.0, 1.0 / 46.0),
+    )
+    for run in (simulate, scalar_simulate):
+        with pytest.raises(PositivityLoss) as excinfo:
+            run(model, hist, 10.0, 1.0)
+        assert excinfo.value.time == 5.0
+
+
+def test_domain_violation_matches_scalar_loop():
+    # the cycle at tau = 3.3 grows past the wrapper's upper domain bound;
+    # both integrators must fail with the same error, not integrate on
+    model = dataclasses.replace(
+        reference_model(3.3),
+        demand=NumericWrapper(func=lambda p: 1.0 / p, domain_lo=0.0, domain_hi=0.0245),
+    )
+    for run in (simulate, scalar_simulate):
+        with pytest.raises(DomainViolation):
+            run(model, ConstantHistory(0.021), 2000.0, 0.02)
 
 
 def test_positivity_loss_carries_time_attribute():

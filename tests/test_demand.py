@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hopfdual import (
     DomainViolation,
@@ -98,3 +101,53 @@ def test_domain_metadata():
     d = Reciprocal(w=1.0)
     assert d.lo == 0.0
     assert math.isinf(d.hi)
+
+
+RATE_CURVES = {
+    "reciprocal": Reciprocal(w=1.3),
+    "powerlaw": PowerLaw(w=1.3, alpha=2.5),
+    "numeric": NumericWrapper(func=lambda p: 3.0 - p * p, domain_lo=0.0, domain_hi=1.5),
+}
+# numpy's vectorised pow may round differently from Python's in the last
+# bit, so the power law is compared to within two units of double rounding
+RATE_RTOL = {"reciprocal": 0.0, "powerlaw": 2 * np.finfo(float).eps, "numeric": 0.0}
+
+
+def _prices(name):
+    hi = 1.5 if name == "numeric" else 1e6
+    inside = st.floats(1e-6, hi, exclude_max=True)
+    return st.lists(inside, min_size=1, max_size=40)
+
+
+def _outside(name):
+    outside = st.sampled_from([0.0, -1.0, math.nan, -math.inf])
+    return st.one_of(outside, st.sampled_from([1.5, 7.0])) if name == "numeric" else outside
+
+
+@pytest.mark.parametrize("name", sorted(RATE_CURVES))
+def test_rates_match_scalar_x(name):
+    demand = RATE_CURVES[name]
+
+    @given(_prices(name))
+    def check(prices):
+        expected = np.array([demand.x(v) for v in prices])
+        np.testing.assert_allclose(
+            demand.rates(np.array(prices)), expected, rtol=RATE_RTOL[name], atol=0
+        )
+        grid = np.array(prices * 2).reshape(2, -1)  # any shape is kept
+        assert demand.rates(grid).shape == grid.shape
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(RATE_CURVES))
+def test_rates_reject_any_price_outside_domain(name):
+    demand = RATE_CURVES[name]
+
+    @given(_prices(name), _outside(name), st.integers(0, 40))
+    def check(prices, bad, at):
+        prices.insert(at % (len(prices) + 1), bad)
+        with pytest.raises(DomainViolation):
+            demand.rates(np.array(prices))
+
+    check()
