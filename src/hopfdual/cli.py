@@ -33,7 +33,13 @@ from . import __version__
 from .analysis import compare_prediction, estimate_cycle, sweep, write_sweep_csv
 from .bifurcation import LinearAnalysis, is_locally_stable, linear_analysis
 from .config import RunConfig, _parse_value, load_config
-from .dde import ConstantHistory, default_step, simulate, write_trajectory_csv
+from .dde import (
+    ConstantHistory,
+    default_step,
+    simulate,
+    write_csv_columns,
+    write_trajectory_csv,
+)
 from .errors import (
     DegenerateBifurcation,
     HopfDualError,
@@ -357,10 +363,7 @@ def cmd_predict(cfg: RunConfig, argv: list[str]) -> int:
     if cfg.waveform:
         n = cfg.periods * 200
         t = np.linspace(0.0, cfg.periods * pred.period, n + 1)
-        p = pred.sample(t)
-        out_lines = ["t,p_pred"]
-        out_lines.extend("%.17g,%.17g" % (ti, pi) for ti, pi in zip(t, p))
-        _write_text(cfg.waveform, "\n".join(out_lines) + "\n")
+        write_csv_columns(cfg.waveform, "t,p_pred", t, pred.sample(t))
         _write_sidecar(cfg.waveform, "predict", argv, cfg)
         report["waveform"] = cfg.waveform
         lines.append(f"waveform written to {cfg.waveform} ({cfg.periods} periods)")

@@ -28,6 +28,7 @@ the breaking points that propagate from t = 0 at multiples of tau.
 from __future__ import annotations
 
 import math
+import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -330,18 +331,35 @@ def simulate(
     return Trajectory(t0=0.0, step=h, values=values, derivs=derivs)
 
 
+def write_csv_columns(path, header: str, first: np.ndarray, second: np.ndarray) -> None:
+    """Write two float columns under `header` as comma-separated rows with
+    17 significant digits, which reproduce every double exactly."""
+    values = tuple(np.column_stack((first, second)).ravel().tolist())
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.write(("%.17g,%.17g\n" * len(first)) % values)
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write the trajectory as `t,p` rows, 17 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,p\n")
-        t0, h = traj.t0, traj.step
-        for i, v in enumerate(traj.values):
-            fh.write("%.17g,%.17g\n" % (t0 + h * i, v))
+    write_csv_columns(path, "t,p", traj.t, traj.values)
 
 
 def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a `t,p` CSV back into time and price arrays."""
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    if data.ndim == 1:
-        data = data.reshape(1, -1)
+    """Read a `t,p` CSV back into time and price arrays.
+
+    Raises ValidationError naming the file when it has no data rows, a
+    field that is not a number, or a row that does not hold two fields.
+    """
+    try:
+        with warnings.catch_warnings():
+            # An empty file is rejected below; numpy's warning would repeat it.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: not a two-column numeric CSV: {exc}") from None
+    if data.shape[0] == 0:
+        raise ValidationError(f"{path}: no data rows after the header")
+    if data.shape[1] != 2:
+        raise ValidationError(f"{path}: expected 2 columns, got {data.shape[1]}")
     return data[:, 0], data[:, 1]

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hopfdual import ModelConfig, NumericWrapper, read_trajectory_csv
+from hopfdual import ModelConfig, NumericWrapper, predicted_cycle, read_trajectory_csv
 from hopfdual.cli import main, verify_coefficients
 from hopfdual.config import write_config_file
 
@@ -148,7 +148,7 @@ def test_predict_below_onset_exits_3(capsys):
     assert "tau0" in payload["error"]["message"]
 
 
-def test_predict_waveform_file(capsys, tmp_path):
+def test_predict_waveform_file(capsys, tmp_path, expansion):
     wave = tmp_path / "wave.csv"
     cfg = tmp_path / "wave.ini"
     cfg.write_text(
@@ -170,6 +170,11 @@ def test_predict_waveform_file(capsys, tmp_path):
         rel=1e-6,
     )
     assert (tmp_path / "wave.csv.meta.json").exists()
+    # The bytes of the one-row-at-a-time writer this file used to come from.
+    pred = predicted_cycle(expansion, 3.2)
+    t = np.linspace(0.0, 3 * pred.period, 3 * 200 + 1)
+    rows = ("%.17g,%.17g" % (ti, pi) for ti, pi in zip(t, pred.sample(t)))
+    assert wave.read_bytes() == ("\n".join(["t,p_pred", *rows]) + "\n").encode()
 
 
 def test_stdout_is_deterministic(capsys):

@@ -269,6 +269,43 @@ def test_trajectory_roundtrip_exact(tmp_path):
     np.testing.assert_array_equal(p, traj.values)
 
 
+def rowwise_trajectory_csv(traj, path):
+    """The one-row-per-write trajectory writer that `write_trajectory_csv`
+    replaced, kept as the byte-for-byte reference."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("t,p\n")
+        t0, h = traj.t0, traj.step
+        for i, v in enumerate(traj.values):
+            fh.write("%.17g,%.17g\n" % (t0 + h * i, v))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: simulate(reference_model(3.2), ConstantHistory(0.025), t_end=50.0, step=0.05),
+    lambda: Trajectory(t0=-7.3, step=0.013, values=np.linspace(0.5, 3.0, 1001) ** 3,
+                       derivs=np.zeros(1001)),
+    lambda: Trajectory(t0=0.0, step=0.1, values=np.array([0.02, 1 / 3]), derivs=np.zeros(2)),
+], ids=["simulated", "nonzero_t0", "two_nodes"])
+def test_trajectory_csv_matches_rowwise_writer(tmp_path, make):
+    traj = make()
+    write_trajectory_csv(traj, tmp_path / "new.csv")
+    rowwise_trajectory_csv(traj, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("text, why", [
+    ("t,p\n", "no data rows"),
+    ("t,p\n0,abc\n", "not a two-column numeric CSV"),
+    ("t,p\n0,1\n0.1,2,3\n", "not a two-column numeric CSV"),
+    ("t,p\n0,1,2\n", "expected 2 columns, got 3"),
+], ids=["header_only", "non_numeric", "ragged_row", "three_columns"])
+def test_read_trajectory_csv_rejects_malformed_file(tmp_path, text, why):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError, match=why) as err:
+        read_trajectory_csv(path)
+    assert str(path) in str(err.value)
+
+
 def test_dense_output_outside_range():
     traj = Trajectory(
         t0=0.0, step=1.0,
