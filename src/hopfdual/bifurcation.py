@@ -143,17 +143,33 @@ def characteristic_root(
 def rightmost_root(coeffs: TaylorCoefficients, tau: float) -> ComplexRoot:
     """Largest-real-part characteristic root found from a fixed guess grid.
 
-    Heuristic by design: the grid of starts (three real parts around the
-    no-delay root, four frequencies up to one delay harmonic) reliably
-    captures the dominant roots near the imaginary axis at moderate delays,
-    which is all the stability bracket checks need. Roots are deduplicated
-    within 1e-8 and conjugates are canonicalized to im >= 0.
+    Heuristic by design: the grid of starts (real parts -2|b2|, 0 and |b2|,
+    each at frequencies 0, pi/(2 tau), pi/tau and 2 pi/tau) reliably captures
+    the dominant roots near the imaginary axis at moderate delays, which is
+    all the stability bracket checks need. Roots are deduplicated within
+    1e-8 and conjugates are canonicalized to im >= 0.
+
+    The three real-axis starts (frequency 0) are dropped when they cannot
+    converge. Newton's iterates from a real start stay real, and for b2 < 0
+    the real-axis residual is bounded below:
+
+        g(x) = x + |b2| exp(-x tau) >= (1 + ln(-b2 tau)) / tau.
+
+    When that bound and 1 + ln(-b2 tau) (its size relative to round-off in
+    g) both exceed 1e-11, |g| never reaches Newton's 1e-12 tolerance, so
+    those starts could only fail. Below -b2 tau = 1/e real roots exist and
+    all twelve starts run. The roots found, their order and the result are
+    the same either way.
     """
     if tau <= 0:
         raise ValidationError(f"rightmost_root needs tau > 0, got {tau!r}")
     b2 = coeffs.b2
     alphas = (-2.0 * abs(b2), 0.0, abs(b2))
-    omegas = (0.0, math.pi / (2 * tau), math.pi / tau, 2 * math.pi / tau)
+    omegas = (math.pi / (2 * tau), math.pi / tau, 2 * math.pi / tau)
+    gain = -b2 * tau
+    lift = 1.0 + math.log(gain) if gain > 0.0 else 0.0
+    if not (lift > 1e-11 and lift / tau > 1e-11):
+        omegas = (0.0,) + omegas
     found: list[ComplexRoot] = []
     for a in alphas:
         for w in omegas:

@@ -38,28 +38,33 @@ def ridders(sample: Callable[[float], float], h0: float) -> tuple[float, float]:
     (value, error) : tuple of float
         Best extrapolated value and its error estimate.
     """
+    # Neville tableau kept as two columns: column i (extrapolation orders
+    # 0..i at the i-th step) needs only column i - 1, so no 12x12 table.
     con2 = _CON * _CON
-    tableau = [[0.0] * _NTAB for _ in range(_NTAB)]
     hh = h0
-    tableau[0][0] = sample(hh)
-    best = tableau[0][0]
+    prev = [sample(hh)]
+    best = prev[0]
     err = math.inf
-    for i in range(1, _NTAB):
+    for _ in range(1, _NTAB):
         hh /= _CON
-        tableau[0][i] = sample(hh)
+        lower = sample(hh)
+        col = [lower]
         fac = con2
-        for j in range(1, i + 1):
-            tableau[j][i] = (tableau[j - 1][i] * fac - tableau[j - 1][i - 1]) / (fac - 1.0)
+        for left in prev:
+            # lower and left: the previous order at this step and at the last one
+            cur = (lower * fac - left) / (fac - 1.0)
             fac *= con2
-            errt = max(
-                abs(tableau[j][i] - tableau[j - 1][i]),
-                abs(tableau[j][i] - tableau[j - 1][i - 1]),
-            )
+            d1 = abs(cur - lower)
+            d2 = abs(cur - left)
+            errt = d2 if d2 > d1 else d1  # what max(d1, d2) returns, NaN included
             if errt <= err:
                 err = errt
-                best = tableau[j][i]
-        if abs(tableau[i][i] - tableau[i - 1][i - 1]) >= _SAFE * err:
+                best = cur
+            col.append(cur)
+            lower = cur
+        if abs(cur - prev[-1]) >= _SAFE * err:
             break
+        prev = col
     return best, err
 
 

@@ -4,11 +4,16 @@ import cmath
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hopfdual import (
+    ComplexRoot,
     ModelConfig,
+    NoConvergence,
     NonNegativeB2,
     Reciprocal,
+    SingularJacobian,
     StabilityVerdict,
     TaylorCoefficients,
     ValidationError,
@@ -105,6 +110,112 @@ def test_rightmost_root_sign_bracket(coeffs, linear):
 def test_rightmost_root_requires_positive_tau(coeffs):
     with pytest.raises(ValidationError):
         rightmost_root(coeffs, 0.0)
+
+
+def grid_rightmost_root(coeffs, tau):
+    """rightmost_root as it was before it dropped the real-axis starts: all
+    twelve starts of the grid, whatever b2 and tau."""
+    if tau <= 0:
+        raise ValidationError(f"rightmost_root needs tau > 0, got {tau!r}")
+    b2 = coeffs.b2
+    alphas = (-2.0 * abs(b2), 0.0, abs(b2))
+    omegas = (0.0, math.pi / (2 * tau), math.pi / tau, 2 * math.pi / tau)
+    found = []
+    for a in alphas:
+        for w in omegas:
+            try:
+                root = characteristic_root(coeffs, tau, complex(a, w))
+            except (NoConvergence, SingularJacobian):
+                continue
+            if root.im < 0:
+                root = ComplexRoot(re=root.re, im=-root.im, residual=root.residual)
+            if all(
+                math.hypot(root.re - r.re, root.im - r.im) >= 1e-8 for r in found
+            ):
+                found.append(root)
+    if not found:
+        raise NoConvergence("every start of the rightmost-root grid failed")
+    return max(found, key=lambda r: r.re)
+
+
+def _outcome(find, coeffs, tau):
+    """The root's repr (exact to the bit, -0.0 included) or the exception class."""
+    try:
+        return repr(find(coeffs, tau))
+    except Exception as exc:
+        return type(exc)
+
+
+_GAIN_AT_TANGENCY = math.exp(-1.0)
+
+
+# The first gain strategy stays at or below 1/e, where real roots exist and
+# the real-axis starts must still run.
+@given(
+    b2=st.floats(-1e2, -1e-4),
+    gain=st.one_of(st.floats(1e-2, _GAIN_AT_TANGENCY), st.floats(1e-2, 1e2)),
+)
+@example(b2=-0.5, gain=0.2)
+@example(b2=-0.5, gain=_GAIN_AT_TANGENCY)
+@example(b2=-0.5, gain=0.97 * math.pi / 2)
+@example(b2=-0.5, gain=1.03 * math.pi / 2)
+@example(b2=-1e-4, gain=0.3679)
+@example(b2=-1e2, gain=1e2)
+def test_rightmost_root_equals_full_grid(b2, gain):
+    coeffs = _coeffs_with_b2(b2)
+    tau = gain / -b2
+    assert _outcome(rightmost_root, coeffs, tau) == _outcome(
+        grid_rightmost_root, coeffs, tau
+    )
+
+
+@pytest.mark.parametrize(
+    "b2, tau, raised",
+    [
+        (-1e200, 1.0, NoConvergence),  # every start of the grid fails
+        (-1e300, 1e-300, NoConvergence),
+        (math.nan, 1.0, ValidationError),  # non-finite starts
+        (-0.5, 0.0, ValidationError),
+        (-0.5, -1.0, ValidationError),
+    ],
+)
+def test_rightmost_root_raises_like_full_grid(b2, tau, raised):
+    coeffs = _coeffs_with_b2(b2)
+    assert _outcome(rightmost_root, coeffs, tau) is raised
+    assert _outcome(grid_rightmost_root, coeffs, tau) is raised
+
+
+@given(b2=st.floats(-1e2, -1e-4), gain=st.floats(0.38, 1e2))
+@example(b2=-1.0, gain=1.0)  # the start x = 0 is the minimum of g: g'(0) = 0
+def test_real_starts_never_converge_above_tangency(b2, gain):
+    # On the real axis g(x) = x + |b2| exp(-x tau) >= (1 + ln(-b2 tau))/tau,
+    # which is positive for -b2*tau > 1/e: Newton from a real start stays real
+    # and cannot reach |g| <= 1e-12. It runs out of iterations, or stops on
+    # a vanishing g' where it lands on the minimum.
+    coeffs = _coeffs_with_b2(b2)
+    tau = gain / -b2
+    for a in (-2.0 * abs(b2), 0.0, abs(b2)):
+        with pytest.raises((NoConvergence, SingularJacobian)):
+            characteristic_root(coeffs, tau, complex(a, 0.0))
+
+
+@pytest.mark.parametrize("factor", [0.97, 1.03])
+def test_real_starts_run_out_of_iterations_near_onset(factor):
+    # rightmost_root is called at 0.97 and 1.03 tau0 to bracket the onset
+    coeffs = _coeffs_with_b2(-0.5)
+    tau = factor * linear_analysis(coeffs).tau0
+    for a in (-1.0, 0.0, 0.5):
+        with pytest.raises(NoConvergence):
+            characteristic_root(coeffs, tau, complex(a, 0.0))
+
+
+@pytest.mark.parametrize("b2", [-1e-4, -0.5, -3.7, -1e2])
+def test_real_start_finds_rightmost_root_below_tangency(b2):
+    coeffs = _coeffs_with_b2(b2)
+    tau = 0.2 / -b2
+    root = characteristic_root(coeffs, tau, complex(-2.0 * abs(b2), 0.0))
+    assert root.im == 0.0
+    assert repr(root) == repr(rightmost_root(coeffs, tau))
 
 
 def test_linear_analysis_from_full_pipeline():
