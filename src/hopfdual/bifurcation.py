@@ -140,14 +140,80 @@ def characteristic_root(
     raise NoConvergence(f"characteristic root iteration stalled at {lam!r}")
 
 
-def rightmost_root(coeffs: TaylorCoefficients, tau: float) -> ComplexRoot:
-    """Largest-real-part characteristic root found from a fixed guess grid.
+def _principal_lambert_w(z: float) -> complex | None:
+    """W0(z) for real z < 0, by Halley's iteration on w exp(w) = z.
 
-    Heuristic by design: the grid of starts (real parts -2|b2|, 0 and |b2|,
-    each at frequencies 0, pi/(2 tau), pi/tau and 2 pi/tau) reliably captures
-    the dominant roots near the imaginary axis at moderate delays, which is
-    all the stability bracket checks need. Roots are deduplicated within
-    1e-8 and conjugates are canonicalized to im >= 0.
+    The result certifies the rightmost characteristic root W0(b2 tau)/tau,
+    so it is None wherever it could be wrong or ill-conditioned: for z not
+    finite or z >= 0, when Halley's iteration does not settle within 50
+    steps, when it lands off the principal branch (for -1/e <= z < 0, W0
+    is real and > -1; below -1/e, 0 < Im W0 < pi), and when |1 + w| < 0.1,
+    that is within about 2e-3 of the double root at z = -1/e. There a
+    Newton root's error grows like 1/|1 + w|, since g'(lambda) = 1 + w.
+    """
+    if not (math.isfinite(z) and z < 0.0):
+        return None
+    # Starts (Corless et al. 1996): the branch-point series around -1/e,
+    # the Taylor series at 0 and the logarithmic asymptotics for large |z|.
+    # A complex z makes cmath take the principal square root and logarithm,
+    # whose imaginary parts are >= 0 on the negative real axis.
+    zc = complex(z, 0.0)
+    if z > -0.25:
+        w = zc - zc * zc
+    elif z > -0.7:
+        p = cmath.sqrt(2.0 * (math.e * zc + 1.0))
+        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * 11.0 / 72.0))
+    else:
+        log_z = cmath.log(zc)
+        log_log_z = cmath.log(log_z)
+        w = log_z - log_log_z + log_log_z / log_z
+    try:
+        for _ in range(50):
+            ew = cmath.exp(w)
+            f = w * ew - z
+            wp1 = w + 1.0
+            dw = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
+            w -= dw
+            if abs(dw) <= 1e-14 * abs(w):
+                break
+        else:
+            return None
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if z >= -1.0 / math.e:
+        on_branch = w.imag == 0.0 and w.real > -1.0
+    else:
+        # W0 and W-1 are complex conjugates there; either solves w e^w = z
+        w = complex(w.real, abs(w.imag))
+        on_branch = 0.0 < w.imag < math.pi
+    if not on_branch or abs(1.0 + w) < 0.1:
+        return None
+    return w
+
+
+def rightmost_root(coeffs: TaylorCoefficients, tau: float) -> ComplexRoot:
+    """Largest-real-part characteristic root, found by Newton from a fixed
+    grid of starts and certified by the principal branch of Lambert W.
+
+    lambda = b2 exp(-lambda tau) holds exactly for lambda = W_k(b2 tau)/tau
+    on each branch k of Lambert W, and for real b2 and tau > 0 the principal
+    branch gives the rightmost root (Shinozaki and Mori, Automatica 42,
+    2006). That target W0(b2 tau)/tau, with im >= 0, is computed first.
+    The starts (real parts -2|b2|, 0 and |b2|, each at frequencies 0,
+    pi/(2 tau), pi/tau and 2 pi/tau) then run in order. Roots are
+    deduplicated within 1e-8, conjugates are canonicalized to im >= 0, and
+    the search stops at the first new root within 1e-8 of the target:
+    later starts could only add roots that the deduplication drops or that
+    lie further left, so that root is the one the whole grid returns. The
+    value returned is Newton's root, not W0's.
+
+    The target is withheld, and the whole grid runs and returns the root
+    with the largest real part, when it cannot certify: b2 tau not finite
+    or >= 0, Halley's iteration for W0 not settling or leaving the
+    principal branch, b2 tau within about 2e-3 of -1/e (the double root,
+    where Newton's copies of the root may lie more than 1e-8 apart), or
+    roots so large that round-off in Newton's residual alone spreads its
+    copies that far.
 
     The three real-axis starts (frequency 0) are dropped when they cannot
     converge. Newton's iterates from a real start stay real, and for b2 < 0
@@ -164,6 +230,14 @@ def rightmost_root(coeffs: TaylorCoefficients, tau: float) -> ComplexRoot:
     if tau <= 0:
         raise ValidationError(f"rightmost_root needs tau > 0, got {tau!r}")
     b2 = coeffs.b2
+    w0 = _principal_lambert_w(b2 * tau)
+    target = None if w0 is None else w0 / tau
+    # Newton accepts an iterate once the computed |g| <= 1e-12, and g is
+    # rounded by about 2.2e-16 |lambda| (2 + |w|). With |1 + w| >= 0.1 every
+    # accepted copy of the rightmost root then lies within 2.2e-9 of it, so
+    # all copies deduplicate into the first, while |lambda| (2 + |w|) <= 1e6.
+    if target is not None and abs(target) * (2.0 + abs(w0)) > 1e6:
+        target = None
     alphas = (-2.0 * abs(b2), 0.0, abs(b2))
     omegas = (math.pi / (2 * tau), math.pi / tau, 2 * math.pi / tau)
     gain = -b2 * tau
@@ -183,6 +257,10 @@ def rightmost_root(coeffs: TaylorCoefficients, tau: float) -> ComplexRoot:
                 math.hypot(root.re - r.re, root.im - r.im) >= 1e-8 for r in found
             ):
                 found.append(root)
+                if target is not None and math.hypot(
+                    root.re - target.real, root.im - target.imag
+                ) < 1e-8:
+                    return root
     if not found:
         raise NoConvergence("every start of the rightmost-root grid failed")
     return max(found, key=lambda r: r.re)

@@ -28,6 +28,8 @@ the breaking points that propagate from t = 0 at multiples of tau.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -219,6 +221,15 @@ def _check_node(p: float, t: float) -> None:
         raise PositivityLoss(t)
 
 
+def _memory_bytes() -> int:
+    """Physical memory of this machine, or numpy's largest array size in
+    bytes where the operating system does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return sys.maxsize
+
+
 def simulate(
     config: ModelConfig,
     history: HistoryFunction,
@@ -240,6 +251,9 @@ def simulate(
 
     Raises
     ------
+    ValidationError
+        If the step, t_end or history is invalid, or if the t_end/step + 1
+        nodes would take more bytes than the machine's physical memory.
     PositivityLoss
         If any computed node price is <= 0 (time reported).
     NumericalError
@@ -255,7 +269,16 @@ def simulate(
     if t_end < 10 * step:
         raise ValidationError(f"t_end {t_end!r} shorter than 10 steps")
     history.check_coverage(tau)
-    n = int(round(t_end / step))
+    steps = t_end / step
+    # The node values and derivatives take 16 bytes a node: refuse a run
+    # whose trajectory cannot fit in memory before allocating any of it.
+    memory = _memory_bytes()
+    if not 16.0 * (steps + 1.0) <= memory:
+        raise ValidationError(
+            f"t_end/step = {steps:.4g} steps need {16.0 * (steps + 1.0):.4g} bytes "
+            f"for the trajectory, more than this machine's {memory} bytes of memory"
+        )
+    n = int(round(steps))
     h = step
     p0 = history(0.0)
     if p0 <= 0:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -24,6 +25,8 @@ from hopfdual import (
     rightmost_root,
     taylor_coefficients,
 )
+from hopfdual import bifurcation
+from hopfdual.bifurcation import _principal_lambert_w
 
 
 def _coeffs_with_b2(b2: float) -> TaylorCoefficients:
@@ -161,6 +164,13 @@ _GAIN_AT_TANGENCY = math.exp(-1.0)
 @example(b2=-0.5, gain=1.03 * math.pi / 2)
 @example(b2=-1e-4, gain=0.3679)
 @example(b2=-1e2, gain=1e2)
+@example(b2=-0.5, gain=(1.0 - 1e-3) * _GAIN_AT_TANGENCY)
+@example(b2=-0.5, gain=(1.0 + 1e-3) * _GAIN_AT_TANGENCY)
+@example(b2=-0.5, gain=(1.0 - 1e-9) * _GAIN_AT_TANGENCY)
+@example(b2=-0.5, gain=(1.0 + 1e-9) * _GAIN_AT_TANGENCY)
+# roots of size 1e7, where Newton's copies of one root lie an ulp, more
+# than 1e-8, apart: the first copy is not always the rightmost
+@example(b2=-3226810.791466987, gain=0.36555204937256836)
 def test_rightmost_root_equals_full_grid(b2, gain):
     coeffs = _coeffs_with_b2(b2)
     tau = gain / -b2
@@ -216,6 +226,91 @@ def test_real_start_finds_rightmost_root_below_tangency(b2):
     root = characteristic_root(coeffs, tau, complex(-2.0 * abs(b2), 0.0))
     assert root.im == 0.0
     assert repr(root) == repr(rightmost_root(coeffs, tau))
+
+
+def test_lambert_w_known_values(linear):
+    # W0(-pi/2) = i pi/2: at tau0 the rightmost root is i omega0
+    w = _principal_lambert_w(linear.b2 * linear.tau0)
+    assert w == pytest.approx(0.5j * math.pi, abs=1e-15)
+    assert w / linear.tau0 == pytest.approx(1j * linear.omega0, abs=1e-15)
+    assert _principal_lambert_w(-math.log(2.0) / 2.0) == pytest.approx(
+        -math.log(2.0), rel=1e-15
+    )
+    assert _principal_lambert_w(-1.0) == pytest.approx(
+        complex(-0.31813150520476413, 1.3372357014306895), rel=1e-15
+    )
+
+
+_EPS = sys.float_info.epsilon
+
+
+@given(z=st.floats(-1e3, -1e-3))
+@example(z=-1e3)
+@example(z=-1e-3)
+@example(z=-_GAIN_AT_TANGENCY - 2e-3)
+@example(z=-_GAIN_AT_TANGENCY + 2e-3)
+def test_lambert_w_residual_and_branch(z):
+    if abs(z + _GAIN_AT_TANGENCY) < 2e-3:
+        return  # withheld near the double root, see the next test
+    w = _principal_lambert_w(z)
+    assert w is not None
+    assert abs(w * cmath.exp(w) - z) <= 8 * _EPS * abs(z)
+    if z >= -_GAIN_AT_TANGENCY:
+        assert w.imag == 0.0 and w.real > -1.0
+    else:
+        assert 0.0 < w.imag < math.pi
+
+
+@pytest.mark.parametrize(
+    "offset", [0.0, 1e-16, -1e-16, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3]
+)
+def test_lambert_w_withheld_near_double_root(offset):
+    assert _principal_lambert_w(-_GAIN_AT_TANGENCY + offset) is None
+
+
+@given(z=st.floats(-1e300, -1e-300))
+@example(z=-sys.float_info.max)
+@example(z=-5e-324)
+@example(z=-1e300)
+@example(z=-1e-300)
+def test_lambert_w_never_raises(z):
+    w = _principal_lambert_w(z)
+    assert w is None or isinstance(w, complex)
+
+
+@pytest.mark.parametrize("z", [0.0, -0.0, 1.0, math.inf, -math.inf, math.nan])
+def test_lambert_w_withheld_off_negative_axis(z):
+    assert _principal_lambert_w(z) is None
+
+
+def _count_newton_runs(monkeypatch):
+    calls = []
+    newton = bifurcation.characteristic_root
+
+    def counting(*args):
+        calls.append(args)
+        return newton(*args)
+
+    monkeypatch.setattr(bifurcation, "characteristic_root", counting)
+    return calls
+
+
+@pytest.mark.parametrize("factor", [0.97, 1.03])
+def test_rightmost_root_stops_at_first_start_near_onset(
+    monkeypatch, coeffs, linear, factor
+):
+    tau = factor * linear.tau0
+    full = grid_rightmost_root(coeffs, tau)
+    calls = _count_newton_runs(monkeypatch)
+    assert repr(rightmost_root(coeffs, tau)) == repr(full)
+    assert len(calls) == 1
+
+
+def test_rightmost_root_runs_every_start_at_tangency(monkeypatch):
+    coeffs = _coeffs_with_b2(-0.5)
+    calls = _count_newton_runs(monkeypatch)
+    rightmost_root(coeffs, _GAIN_AT_TANGENCY / 0.5)
+    assert len(calls) == 12
 
 
 def test_linear_analysis_from_full_pipeline():

@@ -127,6 +127,22 @@ def test_simulate_requires_tau(capsys):
     assert payload["error"]["type"] == "ValidationError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--tau", "3.2", "--t-end", "1e30"],
+        ["--tau", "1e-300", "--t-end", "1"],
+    ],
+)
+def test_simulate_too_many_nodes_exits_2(capsys, argv):
+    rc, _, err = _run(capsys, ["simulate", *argv])
+    assert rc == 2
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"]["type"] == "ValidationError"
+    assert "bytes of memory" in payload["error"]["message"]
+
+
 def test_predict_json_reference(capsys):
     report = _run_json(capsys, ["predict", "--tau", "3.2", "--json"])
     pred = report["prediction"]

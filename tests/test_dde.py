@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_model
+from hopfdual import dde
 from hopfdual import (
     ConstantHistory,
     DelayedLookupGap,
@@ -209,6 +210,31 @@ def test_simulate_validation():
         simulate(model, hist, t_end=100.0, step=0.5)  # > tau/10
     with pytest.raises(ValidationError):
         simulate(model, hist, t_end=0.05, step=0.01)  # < 10 steps
+
+
+@pytest.mark.parametrize(
+    "tau, t_end, step",
+    [
+        (3.2, 1e30, 0.01),  # 1e32 nodes, beyond numpy's largest array
+        (1e-300, 1.0, 1e-302),  # 1e302 nodes
+        (3.2, 1e300, 1e-300),  # t_end/step overflows to inf
+        (3.2, math.nan, 0.01),
+        (0.0, 1e30, 0.01),  # the ODE path gets the same check
+    ],
+)
+def test_simulate_rejects_nodes_beyond_memory(tau, t_end, step):
+    with pytest.raises(ValidationError, match="bytes of memory"):
+        simulate(reference_model(tau), ConstantHistory(0.02), t_end=t_end, step=step)
+
+
+def test_simulate_memory_bound_is_exact(monkeypatch):
+    # Pretend the machine holds exactly the 101 nodes of 100 steps.
+    monkeypatch.setattr(dde, "_memory_bytes", lambda: 16 * 101)
+    model = reference_model(3.2)
+    hist = ConstantHistory(0.02)
+    assert len(simulate(model, hist, t_end=2.0, step=0.02).values) == 101
+    with pytest.raises(ValidationError, match="bytes of memory"):
+        simulate(model, hist, t_end=2.02, step=0.02)
 
 
 def test_positivity_loss_reports_time():
