@@ -80,7 +80,10 @@ class PredictionErrors:
 
 @dataclass(frozen=True)
 class DiagramRow:
-    """One delay value of a sweep: measurement, prediction, errors, status."""
+    """One delay value of a sweep: measurement, prediction, errors, status.
+
+    The fields, in this order, are the columns of the sweep CSV.
+    """
 
     tau: float
     regime: str
@@ -296,38 +299,19 @@ def sweep(
     return rows
 
 
-SWEEP_HEADER = (
-    "tau,regime,amp_meas,period_meas,mean_meas,"
-    "amp_pred,period_pred,mean_offset_pred,amp_err,period_err,status,"
-    "mean_offset_err"
-)
+SWEEP_HEADER = ",".join(f.name for f in dataclasses.fields(DiagramRow))
+
+
+def _csv_cell(value: float | str | None) -> str:
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else "%.17g" % value
 
 
 def write_sweep_csv(rows: list[DiagramRow], path) -> None:
-    """Serialize sweep rows with 17-significant-digit numbers."""
-
-    def fmt(x: float | None) -> str:
-        return "" if x is None else "%.17g" % x
-
+    """Serialize sweep rows, one column per DiagramRow field in field order,
+    numbers with 17 significant digits and missing values empty."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(SWEEP_HEADER + "\n")
-        for r in rows:
-            fh.write(
-                ",".join(
-                    [
-                        "%.17g" % r.tau,
-                        r.regime,
-                        fmt(r.amp_meas),
-                        fmt(r.period_meas),
-                        fmt(r.mean_meas),
-                        fmt(r.amp_pred),
-                        fmt(r.period_pred),
-                        fmt(r.mean_offset_pred),
-                        fmt(r.amp_err),
-                        fmt(r.period_err),
-                        r.status,
-                        fmt(r.mean_offset_err),
-                    ]
-                )
-                + "\n"
-            )
+        for row in rows:
+            fh.write(",".join(_csv_cell(v) for v in dataclasses.astuple(row)) + "\n")

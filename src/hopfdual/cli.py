@@ -10,7 +10,12 @@ Five subcommands:
 
 Exit codes: 0 on success, 2 for configuration errors, 3 for numerical
 failures. On a nonzero exit a single-line JSON object
-{"error": {"type": ..., "message": ...}} is written to stderr.
+{"error": {"type": ..., "message": ...}} is written to stderr; a report
+part that could not be computed holds the same object.
+
+A JSON report holds the library's result dataclasses as they are, and
+`_clean` turns each into an object keyed by its field names, so a new
+field reaches the report without further code.
 
 All JSON output is serialized with sorted keys and fixed indentation, and
 no report contains timestamps, so reruns are byte-identical. Every file
@@ -46,7 +51,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .hopf import CyclePrediction, HopfExpansion, classify, hopf_expansion, predicted_cycle
+from .hopf import HopfExpansion, classify, hopf_expansion, predicted_cycle
 from .model import (
     Equilibrium,
     ModelConfig,
@@ -64,7 +69,10 @@ _ZERO_RTOL = 1e-8
 
 
 def _clean(obj):
-    """JSON-safe copy: enums to values, NaN/inf to None, arrays to lists."""
+    """JSON-safe copy: dataclasses to dicts of their fields, enums to values,
+    NaN/inf to None, arrays to lists."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {key: _clean(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -82,6 +90,10 @@ def _clean(obj):
 
 def _dump_json(obj) -> str:
     return json.dumps(_clean(obj), sort_keys=True, indent=2) + "\n"
+
+
+def _error(exc: HopfDualError) -> dict:
+    return {"error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
 def _write_text(path: str, text: str) -> None:
@@ -117,55 +129,18 @@ class _Chain:
         self.expansion: HopfExpansion = hopf_expansion(self.coeffs, self.linear)
 
 
-def _linear_payload(lin: LinearAnalysis) -> dict:
-    return {
-        "b2": lin.b2,
-        "omega0": lin.omega0,
-        "tau0": lin.tau0,
-        "tau_c": list(lin.tau_c),
-        "transversality": lin.transversality,
-    }
-
-
-def _expansion_payload(exp: HopfExpansion) -> dict:
-    u1, q1 = exp.u1_harmonics, exp.q1_harmonics
-    return {
-        "omega1": exp.omega1,
-        "tau1": exp.tau1,
-        "eta1": exp.eta1,
-        "omega2": exp.omega2,
-        "tau2": exp.tau2,
-        "eta2": exp.eta2,
-        "u1_harmonics": {"C1": u1.c1, "D1": u1.d1, "E1": u1.e1},
-        "q1_harmonics": {"A": q1.a, "B": q1.b, "C": q1.c, "D": q1.d, "E": q1.e},
-        "degenerate": list(exp.degenerate),
-    }
-
-
-def _prediction_payload(pred: CyclePrediction, tau0: float) -> dict:
-    u1 = pred.u1_harmonics
-    return {
-        "tau": pred.tau,
-        "tau0": tau0,
-        "epsilon": pred.epsilon,
-        "amplitude": pred.amplitude,
-        "omega": pred.omega,
-        "period": pred.period,
-        "mean_offset": pred.mean_offset,
-        "floquet_exponent": pred.floquet_exponent,
-        "p_star": pred.p_star,
-        "u1_harmonics": {"C1": u1.c1, "D1": u1.d1, "E1": u1.e1},
-        "warning": pred.warning,
-    }
-
-
-def _emit(report: dict, text_lines: list[str], cfg: RunConfig,
-          command: str, argv: list[str]) -> None:
-    """Print the report (text or JSON) and write --out plus sidecar."""
+def _print(report: dict, text_lines: list[str], cfg: RunConfig) -> None:
+    """Print the report as JSON or as text lines."""
     if cfg.json_output:
         sys.stdout.write(_dump_json(report))
     else:
         sys.stdout.write("\n".join(text_lines) + "\n")
+
+
+def _emit(report: dict, text_lines: list[str], cfg: RunConfig,
+          command: str, argv: list[str]) -> None:
+    """Print the report and write it to --out with its sidecar."""
+    _print(report, text_lines, cfg)
     if cfg.out:
         _write_text(cfg.out, _dump_json(report))
         _write_sidecar(cfg.out, command, argv, cfg)
@@ -176,16 +151,16 @@ def cmd_analyze(cfg: RunConfig, argv: list[str]) -> int:
     lin, exp = chain.linear, chain.expansion
     report: dict = {
         "config": cfg.to_sections(),
-        "equilibrium": {"p_star": chain.eq.p_star, "residual": chain.eq.residual},
-        "coefficients": {**chain.coeffs.as_dict(), "p_star": chain.coeffs.p_star},
-        "linear": _linear_payload(lin),
-        "expansion": _expansion_payload(exp),
+        "equilibrium": chain.eq,
+        "coefficients": chain.coeffs,
+        "linear": lin,
+        "expansion": exp,
     }
     lines = [
         f"equilibrium: p_star = {_g(chain.eq.p_star)} (residual = {_g(chain.eq.residual)})",
         "coefficients: " + " ".join(
             f"{name} = {_g(value)}"
-            for name, value in chain.coeffs.as_dict().items() if name != "p_star"
+            for name, value in chain.coeffs.as_dict().items()
         ),
         f"linear: omega0 = {_g(lin.omega0)}, tau0 = {_g(lin.tau0)}, "
         f"transversality = {_g(lin.transversality)}",
@@ -200,11 +175,7 @@ def cmd_analyze(cfg: RunConfig, argv: list[str]) -> int:
     ]
     try:
         verdicts = classify(exp)
-        report["classification"] = {
-            "direction": verdicts.direction.value,
-            "cycle_stability": verdicts.cycle_stability.value,
-            "period_trend": verdicts.period_trend.value,
-        }
+        report["classification"] = verdicts
         lines.append(
             f"classification: {verdicts.direction.value} bifurcation, "
             f"{verdicts.cycle_stability.value} cycle, "
@@ -220,7 +191,7 @@ def cmd_analyze(cfg: RunConfig, argv: list[str]) -> int:
         if cfg.tau > lin.tau0:
             try:
                 pred = predicted_cycle(exp, cfg.tau)
-                report["prediction"] = _prediction_payload(pred, lin.tau0)
+                report["prediction"] = pred
                 lines.append(
                     f"predicted cycle: epsilon = {_g(pred.epsilon)}, "
                     f"period = {_g(pred.period)}, mean offset = {_g(pred.mean_offset)}"
@@ -228,22 +199,10 @@ def cmd_analyze(cfg: RunConfig, argv: list[str]) -> int:
                 if pred.warning:
                     lines.append(f"warning: {pred.warning}")
             except HopfDualError as exc:
-                report["prediction"] = {
-                    "error": {"type": type(exc).__name__, "message": str(exc)}
-                }
+                report["prediction"] = _error(exc)
                 lines.append(f"prediction unavailable: {exc}")
     _emit(report, lines, cfg, "analyze", argv)
     return 0
-
-
-def _estimate_payload(est) -> dict:
-    return {
-        "regime": est.regime.value,
-        "amplitude": est.amplitude,
-        "period": est.period,
-        "mean": est.mean,
-        "transient_end": est.transient_end,
-    }
 
 
 def cmd_simulate(cfg: RunConfig, argv: list[str]) -> int:
@@ -268,7 +227,7 @@ def cmd_simulate(cfg: RunConfig, argv: list[str]) -> int:
     ]
     try:
         est = estimate_cycle(traj, chain.eq.p_star, cfg.transient_fraction)
-        report["estimate"] = _estimate_payload(est)
+        report["estimate"] = est
         lines.append(
             f"regime: {est.regime.value}; amplitude = {_g(est.amplitude)}, "
             f"period = {_g(est.period) if math.isfinite(est.period) else '-'}, "
@@ -277,33 +236,30 @@ def cmd_simulate(cfg: RunConfig, argv: list[str]) -> int:
         if cfg.tau > chain.linear.tau0:
             try:
                 pred = predicted_cycle(chain.expansion, cfg.tau)
-                report["prediction"] = _prediction_payload(pred, chain.linear.tau0)
-                errs = compare_prediction(est, pred)
-                report["prediction_errors"] = {
-                    "amplitude": errs.amplitude,
-                    "period": errs.period,
-                    "mean_offset": errs.mean_offset,
-                }
-                lines.append(
-                    f"prediction errors: amplitude {_g(errs.amplitude)}, "
-                    f"period {_g(errs.period)}, mean offset {_g(errs.mean_offset)}"
-                )
             except HopfDualError as exc:
-                report["prediction"] = {
-                    "error": {"type": type(exc).__name__, "message": str(exc)}
-                }
+                report["prediction"] = _error(exc)
+            else:
+                report["prediction"] = pred
+                try:
+                    errs = compare_prediction(est, pred)
+                except HopfDualError as exc:
+                    report["prediction_errors"] = _error(exc)
+                    lines.append(f"prediction errors unavailable: {exc}")
+                else:
+                    report["prediction_errors"] = errs
+                    lines.append(
+                        f"prediction errors: amplitude {_g(errs.amplitude)}, "
+                        f"period {_g(errs.period)}, mean offset {_g(errs.mean_offset)}"
+                    )
     except HopfDualError as exc:
-        report["estimate"] = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        report["estimate"] = _error(exc)
         lines.append(f"cycle measurement unavailable: {exc}")
     if cfg.out:
         write_trajectory_csv(traj, cfg.out)
         _write_sidecar(cfg.out, "simulate", argv, cfg)
         lines.append(f"trajectory written to {cfg.out}")
         report["csv"] = cfg.out
-    if cfg.json_output:
-        sys.stdout.write(_dump_json(report))
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
+    _print(report, lines, cfg)
     return 0
 
 
@@ -325,7 +281,7 @@ def cmd_sweep(cfg: RunConfig, argv: list[str]) -> int:
     report = {
         "config": cfg.to_sections(),
         "csv": cfg.out,
-        "rows": [dataclasses.asdict(row) for row in rows],
+        "rows": rows,
     }
     lines = []
     for row in rows:
@@ -334,10 +290,7 @@ def cmd_sweep(cfg: RunConfig, argv: list[str]) -> int:
             f"period = {_g(row.period_meas)}, status = {row.status}"
         )
     lines.append(f"diagram written to {cfg.out} ({len(rows)} rows)")
-    if cfg.json_output:
-        sys.stdout.write(_dump_json(report))
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
+    _print(report, lines, cfg)
     return 0
 
 
@@ -348,7 +301,7 @@ def cmd_predict(cfg: RunConfig, argv: list[str]) -> int:
     pred = predicted_cycle(chain.expansion, cfg.tau)
     report: dict = {
         "config": cfg.to_sections(),
-        "prediction": _prediction_payload(pred, chain.linear.tau0),
+        "prediction": pred,
     }
     lines = [
         f"tau = {_g(pred.tau)} (onset tau0 = {_g(chain.linear.tau0)})",
@@ -374,7 +327,7 @@ def cmd_predict(cfg: RunConfig, argv: list[str]) -> int:
 def _verify_rows(closed: TaylorCoefficients, oracle: TaylorCoefficients) -> list[dict]:
     closed_map = closed.as_dict()
     oracle_map = oracle.as_dict()
-    scale = max(1.0, max(abs(v) for k, v in closed_map.items() if k != "p_star"))
+    scale = max(1.0, max(abs(v) for v in closed_map.values()))
     rows = []
     for name in ("b1", "b2", "b3", "b4", "b5", "b6", "b7", "b8", "b9"):
         cf, ov = closed_map[name], oracle_map[name]
@@ -490,8 +443,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, overrides)
         return _DISPATCH[args.command](cfg, argv)
     except HopfDualError as exc:
-        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
+        sys.stderr.write(json.dumps(_error(exc), sort_keys=True) + "\n")
         return 2 if isinstance(exc, ValidationError) else 3
 
 

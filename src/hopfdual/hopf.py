@@ -96,16 +96,12 @@ class Q1Harmonics:
 class HopfExpansion:
     """All expansion coefficients needed to predict and classify the cycle.
 
-    omega1, tau1, eta1 are identically zero and stored explicitly.
     degenerate lists the names of second-order quantities that vanish
     relative to their natural scale (so sign verdicts would be meaningless).
     """
 
     omega0: float
     tau0: float
-    omega1: float
-    tau1: float
-    eta1: float
     omega2: float
     tau2: float
     eta2: float
@@ -162,6 +158,8 @@ class CyclePrediction:
     ----------
     tau : float
         Delay the prediction is for.
+    tau0 : float
+        Onset delay of the expansion the prediction comes from.
     epsilon : float
         Amplitude parameter sqrt((tau - tau0)/tau2).
     amplitude : float
@@ -181,6 +179,7 @@ class CyclePrediction:
     """
 
     tau: float
+    tau0: float
     epsilon: float
     amplitude: float
     omega: float
@@ -237,9 +236,6 @@ def hopf_expansion(coeffs: TaylorCoefficients, analysis: LinearAnalysis) -> Hopf
     return HopfExpansion(
         omega0=analysis.omega0,
         tau0=analysis.tau0,
-        omega1=0.0,
-        tau1=0.0,
-        eta1=0.0,
         omega2=omega2,
         tau2=tau2,
         eta2=eta2,
@@ -355,6 +351,7 @@ def predicted_cycle(exp: HopfExpansion | NormalForm, tau: float) -> CyclePredict
         )
     return CyclePrediction(
         tau=tau,
+        tau0=exp.tau0,
         epsilon=eps,
         amplitude=eps,
         omega=omega,

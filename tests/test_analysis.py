@@ -10,6 +10,7 @@ from hopfdual import (
     SWEEP_HEADER,
     CycleEstimate,
     CyclePrediction,
+    DiagramRow,
     Regime,
     RegimeMismatch,
     TooShort,
@@ -103,7 +104,7 @@ def test_transient_fraction_validation(run_tau30):
 
 def _reference_prediction():
     return CyclePrediction(
-        tau=3.2, epsilon=2.86e-3, amplitude=2.86e-3, omega=0.49233,
+        tau=3.2, tau0=math.pi, epsilon=2.86e-3, amplitude=2.86e-3, omega=0.49233,
         period=12.762, mean_offset=2.045e-4, floquet_exponent=-0.0256,
         p_star=P_STAR, u1_harmonics=U1Harmonics(7.5, -10.0, 25.0),
     )
@@ -189,3 +190,30 @@ def test_sweep_csv_layout(tmp_path):
     assert float(second[-1]) == rows[1].mean_offset_err
     data = np.genfromtxt(path, delimiter=",", skip_header=1, usecols=(0,))
     np.testing.assert_allclose(data, [3.0, 3.2], rtol=0, atol=0)
+
+
+def test_sweep_csv_bytes_for_every_row_kind(tmp_path):
+    # The header and cell format are pinned independently of DiagramRow:
+    # numbers in %.17g, None as an empty cell, strings as they are.
+    empty = dict(amp_meas=None, period_meas=None, mean_meas=None, amp_pred=None,
+                 period_pred=None, mean_offset_pred=None, amp_err=None, period_err=None)
+    rows = [
+        DiagramRow(tau=0.1, regime="", status="ValidationError", **empty),
+        DiagramRow(tau=3.0, regime="equilibrium", status="ok",
+                   **{**empty, "amp_meas": 1e-6, "mean_meas": 0.02}),
+        DiagramRow(tau=3.2, regime="limit_cycle", amp_meas=0.1 + 0.2, period_meas=12.8,
+                   mean_meas=0.02, amp_pred=2.86e-3, period_pred=12.762,
+                   mean_offset_pred=2.045e-4, amp_err=2.0, period_err=1 / 3,
+                   status="ok", mean_offset_err=0.5),
+    ]
+    path = tmp_path / "rows.csv"
+    write_sweep_csv(rows, path)
+    assert path.read_text(encoding="utf-8") == (
+        "tau,regime,amp_meas,period_meas,mean_meas,amp_pred,period_pred,"
+        "mean_offset_pred,amp_err,period_err,status,mean_offset_err\n"
+        "0.10000000000000001,,,,,,,,,,ValidationError,\n"
+        "3,equilibrium,9.9999999999999995e-07,,0.02,,,,,,ok,\n"
+        "3.2000000000000002,limit_cycle,0.30000000000000004,12.800000000000001,0.02,"
+        "0.0028600000000000001,12.762,0.00020450000000000001,2,0.33333333333333331,"
+        "ok,0.5\n"
+    )

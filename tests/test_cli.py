@@ -1,12 +1,29 @@
 """Command-line interface: reports, files, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from hopfdual import ModelConfig, NumericWrapper, predicted_cycle, read_trajectory_csv
+from hopfdual import (
+    BifurcationClass,
+    CycleEstimate,
+    CyclePrediction,
+    DiagramRow,
+    Equilibrium,
+    HopfExpansion,
+    LinearAnalysis,
+    ModelConfig,
+    NumericWrapper,
+    PredictionErrors,
+    Q1Harmonics,
+    TaylorCoefficients,
+    U1Harmonics,
+    predicted_cycle,
+    read_trajectory_csv,
+)
 from hopfdual.cli import main, verify_coefficients
 from hopfdual.config import write_config_file
 
@@ -42,9 +59,9 @@ def test_analyze_json_reference(capsys):
     assert exp["omega2"] == pytest.approx(-937.5, abs=0.05)
     assert exp["tau2"] == pytest.approx(7140.5, abs=0.05)
     assert exp["eta2"] == pytest.approx(-3125.0, abs=0.5)
-    assert exp["u1_harmonics"] == pytest.approx({"C1": 7.5, "D1": -10.0, "E1": 25.0})
+    assert exp["u1_harmonics"] == pytest.approx({"c1": 7.5, "d1": -10.0, "e1": 25.0})
     assert exp["q1_harmonics"] == pytest.approx(
-        {"A": 50.0, "B": -20.0, "C": -19.0, "D": -30.0, "E": 10.0}
+        {"a": 50.0, "b": -20.0, "c": -19.0, "d": -30.0, "e": 10.0}
     )
     assert report["classification"] == {
         "direction": "supercritical",
@@ -118,6 +135,61 @@ def test_simulate_constant_history_stays_put(capsys, tmp_path):
     assert report["history_p0"] == 0.02
     _, p = read_trajectory_csv(out_path)
     assert float(np.max(np.abs(p - 0.02))) < 1e-10
+
+
+def test_simulate_regime_mismatch_keeps_prediction(capsys):
+    # Just above the onset, a history at p* stays at equilibrium: the
+    # prediction exists, only its comparison with the measurement fails.
+    argv = ["simulate", "--tau", "3.1416", "--history-p0", "0.02",
+            "--t-end", "200", "--step", "0.02"]
+    report = _run_json(capsys, argv + ["--json"])
+    assert report["estimate"]["regime"] == "equilibrium"
+    pred = report["prediction"]
+    assert "error" not in pred
+    assert pred["tau"] == 3.1416
+    assert pred["tau0"] == pytest.approx(TAU0, rel=1e-12)
+    assert report["prediction_errors"] == {"error": {
+        "type": "RegimeMismatch",
+        "message": "estimate regime is equilibrium, not limit_cycle",
+    }}
+    rc, out, _ = _run(capsys, argv)
+    assert rc == 0
+    assert ("prediction errors unavailable: estimate regime is equilibrium, "
+            "not limit_cycle\n") in out
+
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def test_report_keys_are_dataclass_field_names(capsys, tmp_path):
+    analyze = _run_json(capsys, ["analyze", "--tau", "3.2", "--json"])
+    simulate = _run_json(capsys, [
+        "simulate", "--tau", "3.2", "--t-end", "600", "--step", "0.02", "--json",
+    ])
+    swept = _run_json(capsys, [
+        "sweep", "--tau-list", "3.0,3.2", "--t-end", "600", "--step", "0.02",
+        "--out", str(tmp_path / "d.csv"), "--json",
+    ])
+    assert simulate["estimate"]["regime"] == "limit_cycle"
+    objects = [
+        (analyze["equilibrium"], Equilibrium),
+        (analyze["coefficients"], TaylorCoefficients),
+        (analyze["linear"], LinearAnalysis),
+        (analyze["expansion"], HopfExpansion),
+        (analyze["expansion"]["u1_harmonics"], U1Harmonics),
+        (analyze["expansion"]["q1_harmonics"], Q1Harmonics),
+        (analyze["classification"], BifurcationClass),
+        (analyze["prediction"], CyclePrediction),
+        (simulate["prediction"], CyclePrediction),
+        (simulate["prediction"]["u1_harmonics"], U1Harmonics),
+        (simulate["estimate"], CycleEstimate),
+        (simulate["prediction_errors"], PredictionErrors),
+    ]
+    objects += [(row, DiagramRow) for row in swept["rows"]]
+    assert len(swept["rows"]) == 2
+    for obj, cls in objects:
+        assert set(obj) == _field_names(cls), cls.__name__
 
 
 def test_simulate_requires_tau(capsys):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import reference_model
 from hopfdual import dde
@@ -360,3 +362,22 @@ def test_dense_output_matches_nodes(run_tau30):
     t = run_tau30.t0 + idx * run_tau30.step
     vals = run_tau30.at(t)
     np.testing.assert_allclose(vals, run_tau30.values[idx], rtol=0, atol=1e-14)
+
+
+@given(
+    coeffs=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+    t0=st.floats(-10.0, 10.0),
+    step=st.floats(1e-3, 1.0),
+    n=st.integers(2, 50),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+)
+def test_dense_output_reproduces_cubics(coeffs, t0, step, n, fractions):
+    # Cubic Hermite interpolation is exact on cubics: nodes sampling
+    # q and q' give back q between the nodes, up to round-off.
+    q = np.polynomial.Polynomial(coeffs)
+    t_nodes = t0 + step * np.arange(n)
+    traj = Trajectory(t0=t0, step=step, values=q(t_nodes), derivs=q.deriv()(t_nodes))
+    t = t0 + np.array(fractions) * (traj.t_end - t0)
+    reach = max(1.0, abs(t0), abs(traj.t_end))
+    scale = sum(abs(a) * reach**i for i, a in enumerate(coeffs))
+    np.testing.assert_allclose(traj.at(t), q(t), rtol=0, atol=1e-13 * scale)

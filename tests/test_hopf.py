@@ -46,7 +46,6 @@ def _expand(b2, b4, b5, **kw):
 def test_reference_expansion_values(expansion):
     assert expansion.omega0 == pytest.approx(0.5, rel=1e-12)
     assert expansion.tau0 == pytest.approx(math.pi, rel=1e-12)
-    assert (expansion.omega1, expansion.tau1, expansion.eta1) == (0.0, 0.0, 0.0)
     assert expansion.omega2 == pytest.approx(-937.5, abs=0.05)
     assert expansion.tau2 == pytest.approx(7140.5, abs=0.05)
     assert expansion.eta2 == pytest.approx(-3125.0, abs=0.5)
@@ -82,7 +81,7 @@ def test_classification_reference(expansion):
 
 def test_classification_sign_table():
     exp = HopfExpansion(
-        omega0=1.0, tau0=1.0, omega1=0.0, tau1=0.0, eta1=0.0,
+        omega0=1.0, tau0=1.0,
         omega2=1.0, tau2=-1.0, eta2=1.0,
         u1_harmonics=U1Harmonics(0.0, 0.0, 0.0),
         q1_harmonics=Q1Harmonics(0.0, 0.0, 0.0, 0.0, 0.0),
