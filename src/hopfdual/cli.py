@@ -8,8 +8,8 @@ Five subcommands:
     predict   expansion-based cycle prediction at one delay
     verify    closed-form coefficients against the finite-difference oracle
 
-Exit codes: 0 on success, 2 for configuration errors, 3 for numerical
-failures. On a nonzero exit a single-line JSON object
+Exit codes: 0 on success, 2 for configuration and usage errors, 3 for
+numerical failures. On a nonzero exit a single-line JSON object
 {"error": {"type": ..., "message": ...}} is written to stderr; a report
 part that could not be computed holds the same object.
 
@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
+import functools
 import json
 import math
 import sys
@@ -37,7 +38,7 @@ import numpy as np
 from . import __version__
 from .analysis import compare_prediction, estimate_cycle, sweep, write_sweep_csv
 from .bifurcation import LinearAnalysis, is_locally_stable, linear_analysis
-from .config import RunConfig, _parse_value, load_config
+from .config import SETTINGS, RunConfig, load_config, parse_bool
 from .dde import (
     ConstantHistory,
     default_step,
@@ -238,6 +239,7 @@ def cmd_simulate(cfg: RunConfig, argv: list[str]) -> int:
                 pred = predicted_cycle(chain.expansion, cfg.tau)
             except HopfDualError as exc:
                 report["prediction"] = _error(exc)
+                lines.append(f"prediction unavailable: {exc}")
             else:
                 report["prediction"] = pred
                 try:
@@ -395,8 +397,16 @@ _DISPATCH = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValidationError, so they exit 2 with the one-line
+    JSON error like any other bad input."""
+
+    def error(self, message: str):
+        raise ValidationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hopfdual",
         description="Delay-feedback price model: analysis, prediction, simulation.",
     )
@@ -409,39 +419,30 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify": "closed-form coefficients against the numeric oracle",
     }
     for name, help_text in descriptions.items():
-        p = sub.add_parser(name, help=help_text)
+        # Flags not given stay out of the namespace: it holds the overrides.
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", metavar="FILE", help="configuration file")
-        p.add_argument("--tau", type=float, help="feedback delay")
-        p.add_argument("--tau-list", dest="tau_list", metavar="T1,T2,...",
-                       help="comma-separated delays (sweep)")
-        p.add_argument("--step", type=float, help="integration step size")
-        p.add_argument("--t-end", dest="t_end", type=float, help="final time")
-        p.add_argument("--history-p0", dest="history_p0", type=float,
-                       help="constant initial history value")
-        p.add_argument("--out", metavar="FILE", help="write the main output file")
-        p.add_argument("--json", dest="json_output", action="store_true",
-                       help="print the JSON report instead of text")
+        for keys in SETTINGS.values():
+            for key, setting in keys.items():
+                if setting.help is None:
+                    continue
+                flag = "--" + key.replace("_", "-")
+                if setting.parse is parse_bool:
+                    kind = {"action": "store_true"}
+                else:
+                    kind = {"type": functools.partial(setting.read, where=flag),
+                            "metavar": setting.metavar}
+                p.add_argument(flag, dest=setting.field, help=setting.help, **kind)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = _build_parser().parse_args(argv)
     try:
-        tau_list = None
-        if getattr(args, "tau_list", None):
-            tau_list = _parse_value("floatlist", args.tau_list, "--tau-list")
-        overrides = {
-            "tau": args.tau,
-            "tau_list": tau_list,
-            "step": args.step,
-            "t_end": args.t_end,
-            "history_p0": args.history_p0,
-            "out": args.out,
-            "json_output": args.json_output,
-        }
-        cfg = load_config(args.config, overrides)
-        return _DISPATCH[args.command](cfg, argv)
+        overrides = vars(_build_parser().parse_args(argv))
+        command = overrides.pop("command")
+        cfg = load_config(overrides.pop("config", None), overrides)
+        return _DISPATCH[command](cfg, argv)
     except HopfDualError as exc:
         sys.stderr.write(json.dumps(_error(exc), sort_keys=True) + "\n")
         return 2 if isinstance(exc, ValidationError) else 3

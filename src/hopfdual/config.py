@@ -17,15 +17,20 @@ The file format is a flat list of assignments under [section] headers:
 Unknown sections or keys are rejected so typos fail loudly. Every JSON
 report embeds the resolved configuration under the same section/key names,
 so a report can be turned back into a config file mechanically.
+
+`SETTINGS` describes each setting once: its section and key, the
+`RunConfig` field it fills, how its text is parsed, which values are valid
+and, for some, the command-line flag that overrides it.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
-from .demand import make_demand
+from .demand import FAMILIES, make_demand
 from .errors import ValidationError
 from .model import ModelConfig
 
@@ -36,18 +41,80 @@ _BOOL_WORDS = {
     "false": False, "no": False, "off": False, "0": False,
 }
 
-# section -> key -> parser
-_SCHEMA: dict[str, dict[str, str]] = {
-    "model": {"demand": "str", "w": "float", "alpha": "float", "k": "float", "c": "float"},
-    "simulation": {
-        "tau": "float",
-        "tau_list": "floatlist",
-        "step": "float",
-        "t_end": "float",
-        "history_p0": "float",
+
+def parse_bool(raw: str) -> bool:
+    """A yes/no word (true/false, yes/no, on/off, 1/0), any case."""
+    word = raw.strip().lower()
+    if word not in _BOOL_WORDS:
+        raise ValueError(f"not a boolean: {raw!r}")
+    return _BOOL_WORDS[word]
+
+
+def _float_list(raw: str) -> list[float]:
+    parts = [p for p in (s.strip() for s in raw.split(",")) if p]
+    if not parts:
+        raise ValueError("empty list")
+    return [float(p) for p in parts]
+
+
+class Setting(NamedTuple):
+    """One run setting: the RunConfig field it fills, the parser of its
+    text, and its rule `(test, text)`: a value other than None must pass
+    `test`, or the error says the setting must be `text`. A setting with
+    `help` is also the flag `--key` (underscores as hyphens), whose value
+    the usage text calls `metavar`."""
+
+    field: str
+    parse: Callable[[str], Any]
+    rule: tuple[Callable[[Any], bool], str] | None = None
+    help: str | None = None
+    metavar: str | None = None
+
+    def read(self, raw: str, where: str):
+        """The parsed value of `raw`; a parse failure names `where`."""
+        try:
+            return self.parse(raw)
+        except ValueError as exc:
+            raise ValidationError(f"bad value for {where}: {exc}") from None
+
+
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "positive")
+_NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "nonnegative")
+_COUNT = (lambda n: n >= 1, ">= 1")
+
+# section -> key -> setting
+SETTINGS: dict[str, dict[str, Setting]] = {
+    "model": {
+        "demand": Setting("demand_family", str,
+                          (lambda f: f in FAMILIES, "reciprocal or powerlaw")),
+        "w": Setting("w", float, _POSITIVE),
+        "alpha": Setting("alpha", float, _POSITIVE),
+        "k": Setting("k", float, _POSITIVE),
+        "c": Setting("c", float, _POSITIVE),
     },
-    "analysis": {"transient_fraction": "float", "n_critical": "int"},
-    "output": {"out": "str", "json": "bool", "waveform": "str", "periods": "int"},
+    "simulation": {
+        "tau": Setting("tau", float, _NONNEGATIVE, "feedback delay"),
+        "tau_list": Setting(
+            "tau_list", _float_list,
+            (lambda ts: len(ts) > 0 and all(0.0 <= t < math.inf for t in ts),
+             "a nonempty list of nonnegative delays"),
+            "comma-separated delays (sweep)", "T1,T2,...",
+        ),
+        "step": Setting("step", float, _POSITIVE, "integration step size"),
+        "t_end": Setting("t_end", float, _POSITIVE, "final time"),
+        "history_p0": Setting("history_p0", float, _POSITIVE, "constant initial history value"),
+    },
+    "analysis": {
+        "transient_fraction": Setting("transient_fraction", float,
+                                      (lambda f: 0.0 <= f < 1.0, "in [0, 1)")),
+        "n_critical": Setting("n_critical", int, _COUNT),
+    },
+    "output": {
+        "out": Setting("out", str, help="write the main output file", metavar="FILE"),
+        "json": Setting("json_output", parse_bool, help="print the JSON report instead of text"),
+        "waveform": Setting("waveform", str),
+        "periods": Setting("periods", int, _COUNT),
+    },
 }
 
 
@@ -71,42 +138,18 @@ class RunConfig:
     json_output: bool = False
     waveform: str | None = None
     periods: int = 5
-    source: str = field(default="defaults", compare=False)
 
     def validate(self) -> None:
-        def positive(name: str, value, allow_zero: bool = False) -> None:
-            if value is None:
-                return
-            ok = math.isfinite(value) and (value >= 0 if allow_zero else value > 0)
-            if not ok:
-                raise ValidationError(f"{name} must be positive, got {value!r}")
-
-        if self.demand_family not in ("reciprocal", "powerlaw"):
-            raise ValidationError(
-                f"unknown demand family {self.demand_family!r}; "
-                "expected reciprocal or powerlaw"
-            )
-        positive("w", self.w)
-        positive("alpha", self.alpha)
-        positive("k", self.k)
-        positive("c", self.c)
-        positive("tau", self.tau, allow_zero=True)
-        if self.tau_list is not None:
-            if not self.tau_list:
-                raise ValidationError("tau_list must be nonempty")
-            for t in self.tau_list:
-                positive("tau_list entry", t, allow_zero=True)
-        positive("step", self.step)
-        positive("t_end", self.t_end)
-        positive("history_p0", self.history_p0)
-        if not 0.0 <= self.transient_fraction < 1.0:
-            raise ValidationError(
-                f"transient_fraction must be in [0, 1), got {self.transient_fraction!r}"
-            )
-        if self.n_critical < 1:
-            raise ValidationError(f"n_critical must be >= 1, got {self.n_critical!r}")
-        if self.periods < 1:
-            raise ValidationError(f"periods must be >= 1, got {self.periods!r}")
+        """Raise ValidationError for the first setting that breaks its rule."""
+        for keys in SETTINGS.values():
+            for key, setting in keys.items():
+                value = getattr(self, setting.field)
+                try:
+                    ok = value is None or setting.rule is None or setting.rule[0](value)
+                except TypeError:  # argparse passes `--tau=--` on as [], unparsed
+                    ok = False
+                if not ok:
+                    raise ValidationError(f"{key} must be {setting.rule[1]}, got {value!r}")
 
     def build_model(self, tau: float | None = None) -> ModelConfig:
         """ModelConfig at the given delay (0 when analysis needs no delay)."""
@@ -116,49 +159,11 @@ class RunConfig:
 
     def to_sections(self) -> dict[str, dict]:
         """Resolved settings as nested file-format sections (None omitted)."""
-        model: dict = {"demand": self.demand_family, "w": self.w, "k": self.k, "c": self.c}
-        if self.alpha is not None:
-            model["alpha"] = self.alpha
-        sim: dict = {"t_end": self.t_end}
-        if self.tau is not None:
-            sim["tau"] = self.tau
-        if self.tau_list is not None:
-            sim["tau_list"] = list(self.tau_list)
-        if self.step is not None:
-            sim["step"] = self.step
-        if self.history_p0 is not None:
-            sim["history_p0"] = self.history_p0
-        analysis = {
-            "transient_fraction": self.transient_fraction,
-            "n_critical": self.n_critical,
+        return {
+            section: {key: value for key, setting in keys.items()
+                      if (value := getattr(self, setting.field)) is not None}
+            for section, keys in SETTINGS.items()
         }
-        output: dict = {"json": self.json_output, "periods": self.periods}
-        if self.out is not None:
-            output["out"] = self.out
-        if self.waveform is not None:
-            output["waveform"] = self.waveform
-        return {"model": model, "simulation": sim, "analysis": analysis, "output": output}
-
-
-def _parse_value(kind: str, raw: str, where: str):
-    try:
-        if kind == "float":
-            return float(raw)
-        if kind == "int":
-            return int(raw)
-        if kind == "bool":
-            word = raw.strip().lower()
-            if word not in _BOOL_WORDS:
-                raise ValueError(f"not a boolean: {raw!r}")
-            return _BOOL_WORDS[word]
-        if kind == "floatlist":
-            parts = [p for p in (s.strip() for s in raw.split(",")) if p]
-            if not parts:
-                raise ValueError("empty list")
-            return [float(p) for p in parts]
-        return raw.strip()
-    except ValueError as exc:
-        raise ValidationError(f"bad value for {where}: {exc}") from None
 
 
 def resolve_config_path(path: str) -> str:
@@ -189,7 +194,7 @@ def parse_config_file(path: str) -> dict[str, dict]:
                 continue
             if text.startswith("[") and text.endswith("]"):
                 current = text[1:-1].strip()
-                if current not in _SCHEMA:
+                if current not in SETTINGS:
                     raise ValidationError(
                         f"{path}:{lineno}: unknown section [{current}]"
                     )
@@ -203,7 +208,7 @@ def parse_config_file(path: str) -> dict[str, dict]:
                 )
             key, _, raw = text.partition("=")
             key = key.strip()
-            if key not in _SCHEMA[current]:
+            if key not in SETTINGS[current]:
                 raise ValidationError(
                     f"{path}:{lineno}: unknown key {key!r} in section [{current}]"
                 )
@@ -211,43 +216,21 @@ def parse_config_file(path: str) -> dict[str, dict]:
                 raise ValidationError(
                     f"{path}:{lineno}: duplicate key {key!r} in section [{current}]"
                 )
-            sections[current][key] = _parse_value(
-                _SCHEMA[current][key], raw.strip(), f"[{current}] {key}"
+            sections[current][key] = SETTINGS[current][key].read(
+                raw.strip(), f"[{current}] {key}"
             )
     return sections
 
 
-_FIELD_BY_SECTION_KEY = {
-    ("model", "demand"): "demand_family",
-    ("model", "w"): "w",
-    ("model", "alpha"): "alpha",
-    ("model", "k"): "k",
-    ("model", "c"): "c",
-    ("simulation", "tau"): "tau",
-    ("simulation", "tau_list"): "tau_list",
-    ("simulation", "step"): "step",
-    ("simulation", "t_end"): "t_end",
-    ("simulation", "history_p0"): "history_p0",
-    ("analysis", "transient_fraction"): "transient_fraction",
-    ("analysis", "n_critical"): "n_critical",
-    ("output", "out"): "out",
-    ("output", "json"): "json_output",
-    ("output", "waveform"): "waveform",
-    ("output", "periods"): "periods",
-}
-
-
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from defaults, an optional file, and CLI overrides."""
-    cfg = RunConfig()
+    """Build a RunConfig from defaults, an optional file, and `overrides`
+    (RunConfig field -> value; the CLI passes the flags it was given)."""
+    values = {}
     if path is not None:
-        cfg.source = path
         for section, entries in parse_config_file(path).items():
             for key, value in entries.items():
-                setattr(cfg, _FIELD_BY_SECTION_KEY[(section, key)], value)
-    for name, value in (overrides or {}).items():
-        if value is not None and value is not False:
-            setattr(cfg, name, value)
+                values[SETTINGS[section][key].field] = value
+    cfg = RunConfig(**{**values, **(overrides or {})})
     cfg.validate()
     return cfg
 

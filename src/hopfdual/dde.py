@@ -310,46 +310,48 @@ def simulate(
     values[0] = p0
     growth = np.empty(block + 1)
     s = 0
-    while s < n:
-        b = min(block, n - s)
-        j = s + left
-        # The leading points of the first blocks still lie in the history.
-        cut = int(np.searchsorted(j, 0)) if j[0] < 0 else 0
-        if cut:
-            j[:cut] = 0
-        pd = w00 * values[j] + w10 * derivs[j] + w01 * values[j + 1] + w11 * derivs[j + 1]
-        if cut:
-            pd[:cut] = [history(t) for t in ((s + half[:cut] - lag) * h).tolist()]
-        pd = pd[: 2 * b + 1]
-        try:
-            x = demand.rates(pd)
-        except DomainViolation:
-            # Fail where one step at a time would: advance only the steps
-            # before the first one that reads a point outside the domain;
-            # the next block then starts at that step and raises.
-            outside = int(np.argmin((demand.lo < pd) & (pd < demand.hi)))
-            b = (outside - 1) // 2
-            if b <= 0:
-                raise
+    # Overflow to inf or nan in a block is reported by the node check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while s < n:
+            b = min(block, n - s)
+            j = s + left
+            # The leading points of the first blocks still lie in the history.
+            cut = int(np.searchsorted(j, 0)) if j[0] < 0 else 0
+            if cut:
+                j[:cut] = 0
+            pd = w00 * values[j] + w10 * derivs[j] + w01 * values[j + 1] + w11 * derivs[j + 1]
+            if cut:
+                pd[:cut] = [history(t) for t in ((s + half[:cut] - lag) * h).tolist()]
             pd = pd[: 2 * b + 1]
-            x = demand.rates(pd)
-        a = k * (x - c)
-        a0, a1, a2 = a[0:-1:2], a[1::2], a[2::2]
-        # The RK4 stages are p a0, p a1 g2, p a1 g3 and p a2 g4.
-        a1g2 = a1 * (1.0 + 0.5 * h * a0)
-        a1g3 = a1 * (1.0 + 0.5 * h * a1g2)
-        g4 = 1.0 + h * a1g3
-        growth[0] = values[s]
-        growth[1:b + 1] = 1.0 + (h / 6.0) * (a0 + 2.0 * a1g2 + 2.0 * a1g3 + a2 * g4)
-        np.cumprod(growth[:b + 1], out=values[s:s + b + 1])
-        # Node s + b gets its derivative here too: the last block thus
-        # fills derivs[n], and the next block recomputes the same value.
-        derivs[s:s + b + 1] = a[::2] * values[s:s + b + 1]
-        nodes = values[s + 1:s + b + 1]
-        if not (nodes.min() > 0.0 and nodes.max() < math.inf):
-            i = int(np.argmin(np.isfinite(nodes) & (nodes > 0.0)))
-            _check_node(float(nodes[i]), (s + i + 1) * h)
-        s += b
+            try:
+                x = demand.rates(pd)
+            except DomainViolation:
+                # Fail where one step at a time would: advance only the steps
+                # before the first one that reads a point outside the domain;
+                # the next block then starts at that step and raises.
+                outside = int(np.argmin((demand.lo < pd) & (pd < demand.hi)))
+                b = (outside - 1) // 2
+                if b <= 0:
+                    raise
+                pd = pd[: 2 * b + 1]
+                x = demand.rates(pd)
+            a = k * (x - c)
+            a0, a1, a2 = a[0:-1:2], a[1::2], a[2::2]
+            # The RK4 stages are p a0, p a1 g2, p a1 g3 and p a2 g4.
+            a1g2 = a1 * (1.0 + 0.5 * h * a0)
+            a1g3 = a1 * (1.0 + 0.5 * h * a1g2)
+            g4 = 1.0 + h * a1g3
+            growth[0] = values[s]
+            growth[1:b + 1] = 1.0 + (h / 6.0) * (a0 + 2.0 * a1g2 + 2.0 * a1g3 + a2 * g4)
+            np.cumprod(growth[:b + 1], out=values[s:s + b + 1])
+            # Node s + b gets its derivative here too: the last block thus
+            # fills derivs[n], and the next block recomputes the same value.
+            derivs[s:s + b + 1] = a[::2] * values[s:s + b + 1]
+            nodes = values[s + 1:s + b + 1]
+            if not (nodes.min() > 0.0 and nodes.max() < math.inf):
+                i = int(np.argmin(np.isfinite(nodes) & (nodes > 0.0)))
+                _check_node(float(nodes[i]), (s + i + 1) * h)
+            s += b
 
     return Trajectory(t0=0.0, step=h, values=values, derivs=derivs)
 

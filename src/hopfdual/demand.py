@@ -75,8 +75,8 @@ class Reciprocal(DemandFunction):
     w: float = 1.0
 
     def __post_init__(self):
-        if self.w <= 0:
-            raise ValidationError(f"reciprocal weight must be positive, got {self.w!r}")
+        if not 0.0 < self.w < math.inf:
+            raise ValidationError(f"reciprocal weight must be positive and finite, got {self.w!r}")
         object.__setattr__(self, "name", f"reciprocal(w={self.w:g})")
 
     def x(self, p: float) -> float:
@@ -107,10 +107,12 @@ class PowerLaw(DemandFunction):
     alpha: float = 1.0
 
     def __post_init__(self):
-        if self.w <= 0:
-            raise ValidationError(f"power-law weight must be positive, got {self.w!r}")
-        if self.alpha <= 0:
-            raise ValidationError(f"power-law alpha must be positive, got {self.alpha!r}")
+        if not 0.0 < self.w < math.inf:
+            raise ValidationError(f"power-law weight must be positive and finite, got {self.w!r}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValidationError(
+                f"power-law alpha must be positive and finite, got {self.alpha!r}"
+            )
         object.__setattr__(self, "name", f"powerlaw(w={self.w:g}, alpha={self.alpha:g})")
 
     def x(self, p: float) -> float:

@@ -1,11 +1,18 @@
 """Command-line interface: reports, files, exit codes, determinism."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hopfdual import (
     BifurcationClass,
@@ -156,6 +163,117 @@ def test_simulate_regime_mismatch_keeps_prediction(capsys):
     assert rc == 0
     assert ("prediction errors unavailable: estimate regime is equilibrium, "
             "not limit_cycle\n") in out
+
+
+def test_simulate_text_says_when_prediction_fails(capsys):
+    # Far above the onset the expansion's frequency turns negative.
+    argv = ["simulate", "--tau", "10", "--t-end", "3000", "--step", "0.1"]
+    report = _run_json(capsys, argv + ["--json"])
+    assert report["estimate"]["regime"] == "limit_cycle"
+    assert report["prediction"]["error"]["type"] == "ExpansionInvalid"
+    rc, out, _ = _run(capsys, argv)
+    assert rc == 0
+    assert f"prediction unavailable: {report['prediction']['error']['message']}\n" in out
+
+
+def _one_error_line(err: str) -> dict:
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    payload = json.loads(err)
+    assert set(payload) == {"error"}
+    assert set(payload["error"]) == {"type", "message"}
+    return payload["error"]
+
+
+def test_diverging_simulation_writes_one_stderr_line(capsys):
+    # The run overflows inside a block; numpy must not warn about it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = _run(capsys, ["simulate", "--tau", "100", "--t-end", "4000",
+                                     "--step", "0.5"])
+    assert rc == 3 and out == ""
+    assert _one_error_line(err) == {
+        "type": "NumericalError", "message": "price became non-finite at t = 165",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--tau", "abc"],
+         "bad value for --tau: could not convert string to float: 'abc'"),
+        (["analyze", "--bogus"], "unrecognized arguments: --bogus"),
+    ],
+)
+def test_usage_errors_are_one_json_line(capsys, argv, message):
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert _one_error_line(err) == {"type": "ValidationError", "message": message}
+
+
+_NOT_A_NUMBER = st.sampled_from(["", "abc", "1..0", "0x10", "--", "1,2"])
+_NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_NOT_NONNEGATIVE = st.floats(max_value=-5e-324) | _NONFINITE
+_NOT_POSITIVE = st.floats(max_value=0.0) | _NONFINITE
+_BAD_POSITIVE = _NOT_A_NUMBER | _NOT_POSITIVE.map(repr)
+_BAD_COUNT = st.sampled_from(["", "abc", "1.5", "2e3"]) | st.integers(max_value=0).map(str)
+_BAD_TAU_LIST = st.sampled_from(["", ",", "3.0,abc"]) | st.builds(
+    lambda good, bad, at: ", ".join(map(repr, good[:at] + [bad] + good[at:])),
+    st.lists(st.floats(0.0, 10.0), max_size=3), _NOT_NONNEGATIVE, st.integers(0, 3),
+)
+
+# (section, key) -> invalid text, and whether a command-line flag sets the key
+_INVALID = {
+    ("model", "demand"): (st.text("abcdefghijklmnopqrstuvwxyz", max_size=12).filter(
+        lambda s: s not in ("reciprocal", "powerlaw")), False),
+    ("model", "w"): (_BAD_POSITIVE, False),
+    ("model", "alpha"): (_BAD_POSITIVE, False),
+    ("model", "k"): (_BAD_POSITIVE, False),
+    ("model", "c"): (_BAD_POSITIVE, False),
+    ("simulation", "tau"): (_NOT_A_NUMBER | _NOT_NONNEGATIVE.map(repr), True),
+    ("simulation", "tau_list"): (_BAD_TAU_LIST, True),
+    ("simulation", "step"): (_BAD_POSITIVE, True),
+    ("simulation", "t_end"): (_BAD_POSITIVE, True),
+    ("simulation", "history_p0"): (_BAD_POSITIVE, True),
+    ("analysis", "transient_fraction"): (_NOT_A_NUMBER | (
+        st.floats(min_value=1.0) | _NOT_NONNEGATIVE).map(repr), False),
+    ("analysis", "n_critical"): (_BAD_COUNT, False),
+    ("output", "json"): (st.sampled_from(["", "maybe", "2", "yess"]), True),
+    ("output", "periods"): (_BAD_COUNT, False),
+}
+
+
+@st.composite
+def _bad_setting(draw):
+    section, key = draw(st.sampled_from(sorted(_INVALID)))
+    values, has_flag = _INVALID[section, key]
+    as_flag = has_flag and draw(st.booleans())
+    return section, key, draw(values), as_flag
+
+
+@given(bad=_bad_setting(), command=st.sampled_from(
+    [["analyze"], ["predict", "--tau", "3.2"], ["verify"]]))
+# argparse hands `--tau=--` on as [] without calling the flag's parser
+@example(bad=("simulation", "tau", "--", True), command=["analyze"])
+def test_invalid_setting_exits_with_one_error_line(bad, command):
+    section, key, raw, as_flag = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = list(command)
+        if as_flag:
+            argv.append(f"--{key.replace('_', '-')}={raw}")
+        else:
+            path = Path(tmp) / "bad.ini"
+            path.write_text(f"[{section}]\n{key} = {raw}\n", encoding="utf-8")
+            if key == "tau":
+                argv = argv[:1]  # the file's delay, not the flag's
+            argv += ["--config", str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            rc = main(argv)
+    assert rc == 2, argv
+    assert out.getvalue() == ""
+    _one_error_line(err.getvalue())
 
 
 def _field_names(cls) -> set[str]:

@@ -81,6 +81,13 @@ def test_constructor_validation():
         Reciprocal(w=0.0)
     with pytest.raises(ValidationError):
         PowerLaw(w=1.0, alpha=-2.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            Reciprocal(w=bad)
+        with pytest.raises(ValidationError):
+            PowerLaw(w=bad, alpha=2.0)
+        with pytest.raises(ValidationError):
+            PowerLaw(w=1.0, alpha=bad)
     with pytest.raises(ValidationError):
         NumericWrapper(func=None)
     with pytest.raises(ValidationError):
