@@ -288,7 +288,7 @@ def cmd_sweep(cfg: RunConfig, argv: list[str]) -> int:
     lines = []
     for row in rows:
         lines.append(
-            f"tau = {_g(row.tau)}: {row.regime}, amplitude = {_g(row.amp_meas)}, "
+            f"tau = {_g(row.tau)}: {row.regime or '-'}, amplitude = {_g(row.amp_meas)}, "
             f"period = {_g(row.period_meas)}, status = {row.status}"
         )
     lines.append(f"diagram written to {cfg.out} ({len(rows)} rows)")

@@ -141,7 +141,9 @@ class NumericWrapper(DemandFunction):
 
     Derivatives come from Ridders-extrapolated central differences, so the
     wrapped function must be smooth; accuracy is typically far better than
-    the 1e-5 tolerance the coefficient oracle asks for.
+    the 1e-5 tolerance the coefficient oracle asks for. Only
+    model.taylor_coefficients uses them: the equilibrium solver and the
+    coefficient oracle evaluate x alone.
     """
 
     func: Callable[[float], float] = None  # type: ignore[assignment]

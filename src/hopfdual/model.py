@@ -5,7 +5,8 @@ The link price p(t) obeys
     dp/dt = k * p(t) * (x(p(t - tau)) - c)
 
 with gain k, capacity c, round-trip delay tau, and demand curve x. The
-equilibrium p* solves x(p*) = c. Writing u = p - p* and expanding the right
+equilibrium p* solves x(p*) = c; find_equilibrium gets it to round-off from
+x alone, without its derivatives. Writing u = p - p* and expanding the right
 side in the current and delayed deviations (u, v) gives
 
     du/dt = b1*u + b2*v + b3*u^2 + b4*u*v + b5*v^2
@@ -113,12 +114,19 @@ def rhs(config: ModelConfig, p: float, p_delayed: float) -> float:
 
 
 def find_equilibrium(config: ModelConfig, initial_guess: float = 1.0) -> Equilibrium:
-    """Solve x(p*) = c by bracket expansion plus safeguarded Newton.
+    """Solve x(p*) = c by bracket expansion plus Illinois regula falsi.
 
     The bracket grows geometrically from the initial guess (doubling upward
-    or halving downward, at most 60 times) until x(p) - c changes sign;
-    Newton then refines inside the bracket, falling back to bisection
-    whenever a step would leave it. Monotone demand makes the root unique.
+    or halving downward, at most 60 times) until x(p) - c changes sign.
+    Regula falsi then shrinks the bracket, with the Illinois rule (Dowell
+    and Jarratt, BIT 11, 1971) halving the stale end's value whenever the
+    same end survives twice, and bisection whenever the secant point would
+    not fall strictly inside. It stops when x(p) = c exactly or when the
+    bracket is 4 ulp wide, so p* (the probe with the smallest |x(p) - c|)
+    is the root to round-off. A short step does not stop it: regula falsi
+    creeps by a few ulp while the far end's |x(p) - c| dwarfs the near
+    end's, however far the root still is. Only x is evaluated, never its
+    derivatives. Monotone demand makes the root unique.
 
     Returns
     -------
@@ -179,24 +187,31 @@ def find_equilibrium(config: ModelConfig, initial_guess: float = 1.0) -> Equilib
             f"no sign change of x(p) - c within 60 doublings from p = {initial_guess!r}"
         )
 
-    # invariant here: a < b with g(a) >= 0 >= g(b)
-    tol = 1e-12 * config.c
+    # invariant here: a < b with g(a) >= 0 >= g(b). fa and fb are the values
+    # the secant uses: g at the ends, except that an end kept for a second
+    # step in a row has its value halved. moved is +1 when the last step
+    # replaced a, -1 when it replaced b.
     p, gp = (a, ga) if abs(ga) < abs(gb) else (b, gb)
+    fa, fb, moved = ga, gb, 0
     for _ in range(200):
-        if abs(gp) <= tol:
+        if gp == 0.0:
             break
-        slope = demand.dx(p)
-        step_ok = slope != 0.0 and math.isfinite(slope)
-        if step_ok:
-            cand = p - gp / slope
-            step_ok = a < cand < b
-        if not step_ok:
+        cand = b - fb * (b - a) / (fb - fa)
+        if not a < cand < b:
             cand = 0.5 * (a + b)
-        p, gp = cand, g(cand)
-        if gp > 0:
-            a = p
+        gc = g(cand)
+        if abs(gc) <= abs(gp):
+            p, gp = cand, gc
+        if gc > 0:
+            a, fa = cand, gc
+            if moved > 0:
+                fb *= 0.5
+            moved = 1
         else:
-            b = p
+            b, fb = cand, gc
+            if moved < 0:
+                fa *= 0.5
+            moved = -1
         if b - a <= 4 * math.ulp(max(abs(a), abs(b))):
             break
     return Equilibrium(p_star=p, residual=abs(gp))

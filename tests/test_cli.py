@@ -412,6 +412,18 @@ def test_sweep_requires_out_and_tau_list(capsys, tmp_path):
     assert rc == 2 and "ValidationError" in err
 
 
+def test_sweep_text_marks_failed_row_regime(capsys, tmp_path):
+    # a failed row has no regime; the text line says "-" as for the other
+    # missing values, while the CSV keeps its empty cell
+    out = tmp_path / "d.csv"
+    rc, text, _ = _run(capsys, [
+        "sweep", "--tau-list", "0,3.2", "--t-end", "200", "--out", str(out),
+    ])
+    assert rc == 0
+    assert "tau = 3.2: -, amplitude = -, period = -, status = TooShort" in text.splitlines()
+    assert out.read_text(encoding="utf-8").splitlines()[2].startswith("3.2000000000000002,,")
+
+
 def test_config_round_trip(capsys, tmp_path):
     f1, f2 = tmp_path / "a.ini", tmp_path / "b.ini"
     f1.write_text(

@@ -4,6 +4,8 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import C, K, reference_model
 from hopfdual import (
@@ -61,6 +63,48 @@ def test_no_bracket_when_capacity_unreachable():
     m = ModelConfig(k=K, c=C, tau=1.0, demand=bounded)
     with pytest.raises(NoBracket):
         find_equilibrium(m)
+
+
+def _power(w, alpha):
+    return lambda p: (w / p) ** (1.0 / alpha)
+
+
+# k, c and w over the ranges of the closed_form_grid benchmark; alpha from
+# its range [0.5, 3] down to steep demand, x ~ p^-100 at alpha = 0.01. The
+# example starts from the bracket [1, 2] with x - c about 3.4e15 at 1 and
+# -1 at 2, so the first secant steps move p by a single ulp
+@given(
+    k=st.floats(-3.0, -1.0).map(lambda e: 10.0**e),
+    c=st.floats(0.0, 2.0).map(lambda e: 10.0**e),
+    w=st.floats(-1.0, 1.0).map(lambda e: 10.0**e),
+    alpha=st.floats(-2.0, math.log10(3.0)).map(lambda e: 10.0**e),
+)
+@example(k=0.01, c=1.0, w=1.43, alpha=0.01)
+def test_equilibrium_is_the_root_to_round_off(k, c, w, alpha):
+    cases = (
+        (Reciprocal(w=w), w / c),
+        (PowerLaw(w=w, alpha=alpha), w / c**alpha),
+        (NumericWrapper(func=_power(w, alpha), label="wrapped"), w / c**alpha),
+    )
+    for demand, exact in cases:
+        eq = find_equilibrium(ModelConfig(k=k, c=c, tau=1.0, demand=demand))
+        assert abs(eq.p_star - exact) <= 1e-14 * exact, (demand.name, eq.p_star, exact)
+        assert eq.residual <= 1e-12 * c
+
+
+class _CurveOnly(NumericWrapper):
+    """A wrapped demand curve that refuses to be differentiated."""
+
+    def dx(self, p):
+        raise AssertionError(f"derivative of the demand requested at p = {p!r}")
+
+    d2x = d3x = dx
+
+
+def test_equilibrium_needs_only_the_demand_curve():
+    demand = _CurveOnly(func=_power(2.0, 1.5), label="curve only")
+    eq = find_equilibrium(ModelConfig(k=K, c=C, tau=1.0, demand=demand))
+    assert abs(eq.p_star - 2.0 / C**1.5) <= 1e-14 * eq.p_star
 
 
 def test_rhs_hand_values(model):
@@ -125,3 +169,4 @@ def test_equilibrium_residual_definition(model, eq):
         abs(model.demand.x(eq.p_star) - model.c), abs=1e-15
     )
     assert eq.residual >= 0.0
+
