@@ -14,10 +14,13 @@ lag = tau/step >= 10, those of the next B = ceil(lag) - 2 steps (at least
 one such block at a time: it evaluates the block's delayed prices at once
 (they form a half-step grid of 2B + 1 points, as the last stage time of a
 step is the first of the next), calls the demand once on that array, and
-takes the nodes as a running product of the growth factors. The block
-length follows from tau/step; it is not a setting. Without a delay
-(tau = 0) the stage prices are not delayed, the step does not factor, and
-a plain scalar RK4 loop integrates the ODE.
+takes the nodes as a running product of the growth factors. The node
+values and derivatives are the two rows of one array, so one gather, at a
+fixed index offset by the block start, reads all four Hermite inputs of a
+block; points that still lie in the history are then taken from the
+history. The block length follows from tau/step; it is not a setting.
+Without a delay (tau = 0) the stage prices are not delayed, the step does
+not factor, and a plain scalar RK4 loop integrates the ODE.
 
 The node derivative stored for Hermite interpolation is the RK4 first-stage
 slope, i.e. the exact right-hand side at the node, which makes the dense
@@ -301,26 +304,39 @@ def simulate(
     offset = half - lag
     left = np.floor(offset)
     w00, w10, w01, w11 = _hermite_weights(offset - left)
-    w10, w11 = w10 * h, w11 * h
+    # weights[r, e] multiplies row r (value, derivative) at node j + e.
+    weights = np.array(((w00, w01), (w10 * h, w11 * h)))
     left = left.astype(int)
 
-    # Zeros, not empty: history points read nodes 0 and 1 before those are set.
-    values = np.zeros(n + 1)
-    derivs = np.zeros(n + 1)
+    # Node values and derivatives are the rows of one array, so that one
+    # gather reads all four Hermite inputs of a block. A block at step s
+    # gathers nodes s + index. Points still in the history index below
+    # node 0, where clipping reads node 0, and the history values then
+    # replace them. Zeros, not empty, so that those reads are finite: the
+    # first block reads node 0's derivative before setting it.
+    index = np.stack((left, left + 1))
+    at = np.empty_like(index)
+    node_rows = np.zeros((2, n + 1))
+    values, derivs = node_rows
     values[0] = p0
+    gathered = np.empty((2, 2, 2 * block + 1))
+    delayed = np.empty(2 * block + 1)
+    rate = np.empty(2 * block + 1)
+    stages = np.empty((3, block))
     growth = np.empty(block + 1)
     s = 0
     # Overflow to inf or nan in a block is reported by the node check below.
     with np.errstate(over="ignore", invalid="ignore"):
         while s < n:
             b = min(block, n - s)
-            j = s + left
-            # The leading points of the first blocks still lie in the history.
-            cut = int(np.searchsorted(j, 0)) if j[0] < 0 else 0
-            if cut:
-                j[:cut] = 0
-            pd = w00 * values[j] + w10 * derivs[j] + w01 * values[j + 1] + w11 * derivs[j + 1]
-            if cut:
+            np.add(index, s, out=at)
+            np.take(node_rows, at, axis=1, out=gathered, mode="clip")
+            gathered *= weights
+            pd = np.add(gathered[0, 0], gathered[1, 0], out=delayed)
+            pd += gathered[0, 1]
+            pd += gathered[1, 1]
+            if at[0, 0] < 0:
+                cut = int(np.searchsorted(at[0], 0))
                 pd[:cut] = [history(t) for t in ((s + half[:cut] - lag) * h).tolist()]
             pd = pd[: 2 * b + 1]
             try:
@@ -335,22 +351,41 @@ def simulate(
                     raise
                 pd = pd[: 2 * b + 1]
                 x = demand.rates(pd)
-            a = k * (x - c)
+            a = np.subtract(x, c, out=rate[: 2 * b + 1])
+            a *= k
             a0, a1, a2 = a[0:-1:2], a[1::2], a[2::2]
-            # The RK4 stages are p a0, p a1 g2, p a1 g3 and p a2 g4.
-            a1g2 = a1 * (1.0 + 0.5 * h * a0)
-            a1g3 = a1 * (1.0 + 0.5 * h * a1g2)
-            g4 = 1.0 + h * a1g3
+            # The RK4 stages are p a0, p a1 g2, p a1 g3 and p a2 g4, with
+            # g2 = 1 + h/2 a0, g3 = 1 + h/2 a1 g2 and g4 = 1 + h a1 g3.
+            a1g2, a1g3, a2g4 = stages[:, :b]
+            np.multiply(a0, 0.5 * h, out=a1g2)
+            a1g2 += 1.0
+            a1g2 *= a1
+            np.multiply(a1g2, 0.5 * h, out=a1g3)
+            a1g3 += 1.0
+            a1g3 *= a1
+            np.multiply(a1g3, h, out=a2g4)
+            a2g4 += 1.0
+            a2g4 *= a2
+            # growth = 1 + h/6 (a0 + 2 a1g2 + 2 a1g3 + a2g4), left to right
+            rk4 = growth[1:b + 1]
+            a1g2 *= 2.0
+            np.add(a0, a1g2, out=rk4)
+            a1g3 *= 2.0
+            rk4 += a1g3
+            rk4 += a2g4
+            rk4 *= h / 6.0
+            rk4 += 1.0
             growth[0] = values[s]
-            growth[1:b + 1] = 1.0 + (h / 6.0) * (a0 + 2.0 * a1g2 + 2.0 * a1g3 + a2 * g4)
             np.cumprod(growth[:b + 1], out=values[s:s + b + 1])
-            # Node s + b gets its derivative here too: the last block thus
-            # fills derivs[n], and the next block recomputes the same value.
-            derivs[s:s + b + 1] = a[::2] * values[s:s + b + 1]
-            nodes = values[s + 1:s + b + 1]
-            if not (nodes.min() > 0.0 and nodes.max() < math.inf):
+            # From a node in (0, inf), the running product stays in (0, inf)
+            # exactly when every factor is > 0 and its last node is in (0, inf).
+            if not (rk4.min() > 0.0 and 0.0 < values[s + b] < math.inf):
+                nodes = values[s + 1:s + b + 1]
                 i = int(np.argmin(np.isfinite(nodes) & (nodes > 0.0)))
                 _check_node(float(nodes[i]), (s + i + 1) * h)
+            # Node s + b gets its derivative here too: the last block thus
+            # fills derivs[n], and the next block recomputes the same value.
+            np.multiply(a[::2], values[s:s + b + 1], out=derivs[s:s + b + 1])
             s += b
 
     return Trajectory(t0=0.0, step=h, values=values, derivs=derivs)

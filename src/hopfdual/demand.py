@@ -41,8 +41,9 @@ class DemandFunction:
 
     def _check_array(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        inside = (self.lo < p) & (p < self.hi)
-        if not inside.all():
+        # min and max carry a nan through, so a nan price takes the mask path.
+        if p.size and not (p.min() > self.lo and p.max() < self.hi):
+            inside = (self.lo < p) & (p < self.hi)
             bad = float(p[~inside][0])
             raise DomainViolation(
                 f"price {bad!r} outside demand domain ({self.lo!r}, {self.hi!r})"

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_model
@@ -95,6 +95,9 @@ ORACLE_CASES = {
     "non-integer-lag": (reference_model(3.2), ConstantHistory(0.025), 300.0, 0.03),
     "minimum-lag": (reference_model(3.2), ConstantHistory(0.025), 300.0, 0.32),
     "sampled-history": (reference_model(3.2), _wavy_history(3.2), 300.0, 0.013),
+    # tau/h = 320 over a run of 100 steps: shorter than one block, so every
+    # delayed point lies in the history
+    "shorter-than-block": (reference_model(3.2), _wavy_history(3.2), 1.0, 0.01),
     "powerlaw": (
         ModelConfig(k=0.1, c=5.0, tau=3.0, demand=PowerLaw(w=1.0, alpha=2.0)),
         ConstantHistory(0.05), 300.0, 0.017,
@@ -117,6 +120,29 @@ def test_block_integrator_matches_scalar_loop(case):
     traj = simulate(config, history, t_end, step)
     values, derivs = scalar_simulate(config, history, t_end, step)
     assert np.ptp(values) > 1e-4  # the case exercises real dynamics
+    np.testing.assert_allclose(traj.values, values, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(
+        traj.derivs, derivs, rtol=1e-12, atol=1e-12 * np.max(np.abs(derivs))
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    whole=st.integers(10, 59),
+    fraction=st.floats(0.01, 0.99),
+    n=st.integers(10, 250),
+    wavy=st.booleans(),
+)
+def test_block_integrator_matches_scalar_loop_at_any_lag(whole, fraction, n, wavy):
+    # tau/h off the integers, and runs from under one block to a few blocks,
+    # so that blocks start at every offset from the end of the history
+    tau = 3.2
+    step = tau / (whole + fraction)
+    config = reference_model(tau)
+    history = _wavy_history(tau) if wavy else ConstantHistory(0.025)
+    traj = simulate(config, history, n * step, step)
+    values, derivs = scalar_simulate(config, history, n * step, step)
+    assert len(traj.values) == n + 1
     np.testing.assert_allclose(traj.values, values, rtol=1e-12, atol=0)
     np.testing.assert_allclose(
         traj.derivs, derivs, rtol=1e-12, atol=1e-12 * np.max(np.abs(derivs))
@@ -261,6 +287,22 @@ def test_positivity_loss_mid_block_reports_node_time():
     hist = SampledHistory(
         times=(-10.0, -6.5, -6.0, -5.5, -5.0, 0.0),
         values=(0.02, 0.02, 1.0 / 48.0, 1.0 / 52.0, 1.0 / 46.0, 1.0 / 46.0),
+    )
+    for run in (simulate, scalar_simulate):
+        with pytest.raises(PositivityLoss) as excinfo:
+            run(model, hist, 10.0, 1.0)
+        assert excinfo.value.time == 5.0
+
+
+def test_positivity_loss_before_a_sign_flip_back_reports_node_time():
+    # as above, plus a second whipsaw read by step 6: its negative factor
+    # turns node 7 and the block's last node 8 positive again, yet node 5
+    # is still where the run fails
+    model = dataclasses.replace(reference_model(10.0), k=1.0)
+    hist = SampledHistory(
+        times=(-10.0, -6.5, -6.0, -5.5, -5.0, -4.0, -3.5, -3.0, 0.0),
+        values=(0.02, 0.02, 1.0 / 48.0, 1.0 / 52.0, 1.0 / 46.0,
+                1.0 / 48.0, 1.0 / 52.0, 1.0 / 46.0, 1.0 / 46.0),
     )
     for run in (simulate, scalar_simulate):
         with pytest.raises(PositivityLoss) as excinfo:

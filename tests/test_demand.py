@@ -1,6 +1,7 @@
 """Demand families: values, derivatives, domains, and construction."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -127,7 +128,7 @@ def _prices(name):
 
 
 def _outside(name):
-    outside = st.sampled_from([0.0, -1.0, math.nan, -math.inf])
+    outside = st.sampled_from([0.0, -1.0, math.nan, -math.inf, math.inf])
     return st.one_of(outside, st.sampled_from([1.5, 7.0])) if name == "numeric" else outside
 
 
@@ -158,3 +159,26 @@ def test_rates_reject_any_price_outside_domain(name):
             demand.rates(np.array(prices))
 
     check()
+
+
+@pytest.mark.parametrize("name", sorted(RATE_CURVES))
+def test_rates_name_the_first_price_outside_domain(name):
+    demand = RATE_CURVES[name]
+    placed = st.tuples(_outside(name), st.integers(0, 40))
+
+    @given(_prices(name), st.lists(placed, min_size=2, max_size=4))
+    def check(prices, bads):
+        # several bad prices, so the message must name the first of them
+        for bad, at in bads:
+            prices.insert(at % (len(prices) + 1), bad)
+        first = next(v for v in prices if not demand.lo < v < demand.hi)
+        with pytest.raises(DomainViolation, match=re.escape(f"price {first!r} outside")):
+            demand.rates(np.array(prices))
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(RATE_CURVES))
+def test_rates_of_no_prices_is_empty(name):
+    out = RATE_CURVES[name].rates(np.array([]))
+    assert out.shape == (0,) and out.dtype == float
