@@ -82,20 +82,21 @@ class PredictionErrors:
 class DiagramRow:
     """One delay value of a sweep: measurement, prediction, errors, status.
 
-    The fields, in this order, are the columns of the sweep CSV.
+    The fields, in this order, are the columns of the sweep CSV. A row
+    with only its delay has no regime, no numbers and status "ok".
     """
 
     tau: float
-    regime: str
-    amp_meas: float | None
-    period_meas: float | None
-    mean_meas: float | None
-    amp_pred: float | None
-    period_pred: float | None
-    mean_offset_pred: float | None
-    amp_err: float | None
-    period_err: float | None
-    status: str
+    regime: str = ""
+    amp_meas: float | None = None
+    period_meas: float | None = None
+    mean_meas: float | None = None
+    amp_pred: float | None = None
+    period_pred: float | None = None
+    mean_offset_pred: float | None = None
+    amp_err: float | None = None
+    period_err: float | None = None
+    status: str = "ok"
     mean_offset_err: float | None = None
 
 
@@ -110,7 +111,7 @@ def _refine_extremum(w: np.ndarray, idx: int) -> float:
     return y1 - (y2 - y0) ** 2 / (8.0 * curv)
 
 
-def _transient_heuristic(v: np.ndarray, t0: float, h: float) -> float:
+def _transient_heuristic(v: np.ndarray, h: float) -> float:
     """Earliest time after which successive maxima drift below tolerance.
 
     Drift is measured against the half peak-to-trough of the trailing
@@ -119,15 +120,15 @@ def _transient_heuristic(v: np.ndarray, t0: float, h: float) -> float:
     interior = v[1:-1]
     max_idx = np.nonzero((interior >= v[:-2]) & (interior > v[2:]))[0] + 1
     if len(max_idx) < 2:
-        return t0
+        return 0.0
     tail = v[3 * len(v) // 4:]
     amp_scale = (float(tail.max()) - float(tail.min())) / 2.0
     if amp_scale <= 0.0:
-        return t0
+        return 0.0
     drifts = np.abs(np.diff(v[max_idx]))
     bad = np.nonzero(drifts > DRIFT_TOLERANCE * amp_scale)[0]
     first_settled = bad[-1] + 1 if len(bad) else 0
-    return t0 + h * float(max_idx[first_settled])
+    return h * float(max_idx[first_settled])
 
 
 def estimate_cycle(
@@ -152,14 +153,14 @@ def estimate_cycle(
             f"transient_fraction must be in [0, 1), got {transient_fraction!r}"
         )
     v = traj.values
-    t0, h = traj.t0, traj.step
+    h = traj.step
     span = h * (len(v) - 1)
-    t_heur = _transient_heuristic(v, t0, h)
-    transient_end = max(t_heur, t0 + transient_fraction * span)
-    transient_end = min(transient_end, t0 + 0.9 * span)
-    i0 = int(math.ceil((transient_end - t0) / h - 1e-12))
+    t_heur = _transient_heuristic(v, h)
+    transient_end = max(t_heur, transient_fraction * span)
+    transient_end = min(transient_end, 0.9 * span)
+    i0 = int(math.ceil(transient_end / h - 1e-12))
     w = v[i0:]
-    wt = t0 + h * np.arange(i0, len(v))
+    wt = h * np.arange(i0, len(v))
     transient_end = float(wt[0])
 
     excursion = float(np.max(np.abs(w - p_star)))
@@ -268,34 +269,33 @@ def sweep(
 
     rows: list[DiagramRow] = []
     for tau in sorted(taus):
-        row_kwargs: dict = dict(
-            tau=tau, regime="", amp_meas=None, period_meas=None, mean_meas=None,
-            amp_pred=None, period_pred=None, mean_offset_pred=None,
-            amp_err=None, period_err=None, mean_offset_err=None, status="ok",
-        )
+        # A failure keeps what the row holds so far and names itself in status.
+        row = DiagramRow(tau)
         try:
             cfg = dataclasses.replace(config, tau=tau)
             h = default_step(tau, analysis.omega0) if step is None else step
             traj = simulate(cfg, ConstantHistory(p0), t_end, h)
             est = estimate_cycle(traj, eq.p_star, transient_fraction)
-            row_kwargs["regime"] = est.regime.value
-            row_kwargs["amp_meas"] = est.amplitude
-            row_kwargs["mean_meas"] = est.mean
-            if est.regime is Regime.LIMIT_CYCLE:
-                row_kwargs["period_meas"] = est.period
+            cycle = est.regime is Regime.LIMIT_CYCLE
+            row = dataclasses.replace(
+                row, regime=est.regime.value, amp_meas=est.amplitude, mean_meas=est.mean,
+                period_meas=est.period if cycle else None,
+            )
             if tau > analysis.tau0:
                 pred = predicted_cycle(exp, tau)
-                row_kwargs["amp_pred"] = pred.amplitude
-                row_kwargs["period_pred"] = pred.period
-                row_kwargs["mean_offset_pred"] = pred.mean_offset
-                if est.regime is Regime.LIMIT_CYCLE:
+                row = dataclasses.replace(
+                    row, amp_pred=pred.amplitude, period_pred=pred.period,
+                    mean_offset_pred=pred.mean_offset,
+                )
+                if cycle:
                     errs = compare_prediction(est, pred)
-                    row_kwargs["amp_err"] = errs.amplitude
-                    row_kwargs["period_err"] = errs.period
-                    row_kwargs["mean_offset_err"] = errs.mean_offset
+                    row = dataclasses.replace(
+                        row, amp_err=errs.amplitude, period_err=errs.period,
+                        mean_offset_err=errs.mean_offset,
+                    )
         except HopfDualError as exc:
-            row_kwargs["status"] = type(exc).__name__
-        rows.append(DiagramRow(**row_kwargs))
+            row = dataclasses.replace(row, status=type(exc).__name__)
+        rows.append(row)
     return rows
 
 

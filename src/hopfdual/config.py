@@ -80,7 +80,9 @@ class Setting(NamedTuple):
 
 _POSITIVE = (lambda v: 0.0 < v < math.inf, "positive")
 _NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "nonnegative")
-_COUNT = (lambda n: n >= 1, ">= 1")
+# Counts size arrays (critical delays, waveform samples): the upper bound
+# keeps a typo from allocating before any output is written.
+_COUNT = (lambda n: 1 <= n <= 1000, "in [1, 1000]")
 
 # section -> key -> setting
 SETTINGS: dict[str, dict[str, Setting]] = {

@@ -19,8 +19,6 @@ values and derivatives are the two rows of one array, so one gather, at a
 fixed index offset by the block start, reads all four Hermite inputs of a
 block; points that still lie in the history are then taken from the
 history. The block length follows from tau/step; it is not a setting.
-Without a delay (tau = 0) the stage prices are not delayed, the step does
-not factor, and a plain scalar RK4 loop integrates the ODE.
 
 The node derivative stored for Hermite interpolation is the RK4 first-stage
 slope, i.e. the exact right-hand side at the node, which makes the dense
@@ -36,7 +34,7 @@ import sys
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -131,12 +129,10 @@ def _hermite_weights(th):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniform-grid solution samples with node derivatives.
+    """Uniform-grid solution samples with node derivatives, the first at t = 0.
 
     Attributes
     ----------
-    t0 : float
-        Time of the first sample (0 for fresh simulations).
     step : float
         Uniform grid spacing.
     values : numpy.ndarray
@@ -146,7 +142,6 @@ class Trajectory:
         dense output available between any two adjacent nodes.
     """
 
-    t0: float
     step: float
     values: np.ndarray
     derivs: np.ndarray
@@ -159,21 +154,19 @@ class Trajectory:
 
     @property
     def t_end(self) -> float:
-        return self.t0 + self.step * (len(self.values) - 1)
+        return self.step * (len(self.values) - 1)
 
     @property
     def t(self) -> np.ndarray:
-        return self.t0 + self.step * np.arange(len(self.values))
+        return self.step * np.arange(len(self.values))
 
     def at(self, time: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         """Dense output by cubic Hermite interpolation at arbitrary times."""
         t = np.asarray(time, dtype=float)
         slack = 1e-9 * self.step
-        if np.any(t < self.t0 - slack) or np.any(t > self.t_end + slack):
-            raise DelayedLookupGap(
-                f"dense output requested outside [{self.t0:g}, {self.t_end:g}]"
-            )
-        pos = np.clip((t - self.t0) / self.step, 0.0, len(self.values) - 1.0)
+        if np.any(t < -slack) or np.any(t > self.t_end + slack):
+            raise DelayedLookupGap(f"dense output requested outside [0, {self.t_end:g}]")
+        pos = np.clip(t / self.step, 0.0, len(self.values) - 1.0)
         j = np.minimum(pos.astype(int), len(self.values) - 2)
         h00, h10, h01, h11 = _hermite_weights(pos - j)
         out = (
@@ -189,32 +182,7 @@ def default_step(tau: float, omega0: float) -> float:
     """Default integration step: min(tau/100, one two-hundredth of the
     linear period 2*pi/omega0)."""
     period = 2 * math.pi / omega0
-    if tau > 0:
-        return min(tau / 100.0, period / 200.0)
-    return period / 200.0
-
-
-def _simulate_ode(config: ModelConfig, p0: float, n: int, h: float) -> Trajectory:
-    """Plain RK4 for the no-delay case, where the equation is an ODE."""
-    k, c, x = config.k, config.c, config.demand.x
-
-    def f(p: float) -> float:
-        return k * p * (x(p) - c)
-
-    values = [p0]
-    derivs = []
-    p = p0
-    for i in range(n):
-        k1 = f(p)
-        derivs.append(k1)
-        k2 = f(p + 0.5 * h * k1)
-        k3 = f(p + 0.5 * h * k2)
-        k4 = f(p + h * k3)
-        p = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        _check_node(p, (i + 1) * h)
-        values.append(p)
-    derivs.append(f(p))
-    return Trajectory(t0=0.0, step=h, values=np.array(values), derivs=np.array(derivs))
+    return min(tau / 100.0, period / 200.0)
 
 
 def _check_node(p: float, t: float) -> None:
@@ -244,18 +212,23 @@ def simulate(
     Parameters
     ----------
     config : ModelConfig
-        Model parameters; config.tau is the delay.
+        Model parameters; config.tau is the delay, which must be positive.
     history : HistoryFunction
         Price on [-tau, 0]; history(0) seeds the first node.
     t_end : float
         Final time; must be at least 10 steps long.
     step : float
-        Uniform step size; must satisfy step <= tau/10 when tau > 0.
+        Uniform step size; must satisfy step <= tau/10.
+
+    Returns
+    -------
+    Trajectory
+        Nodes at t = 0, step, ..., n step with n = round(t_end/step).
 
     Raises
     ------
     ValidationError
-        If the step, t_end or history is invalid, or if the t_end/step + 1
+        If the delay, step, t_end or history is invalid, or if the t_end/step + 1
         nodes would take more bytes than the machine's physical memory.
     PositivityLoss
         If any computed node price is <= 0 (time reported).
@@ -265,9 +238,11 @@ def simulate(
         If a delayed price leaves the demand's domain.
     """
     tau = config.tau
+    if not tau > 0:
+        raise ValidationError(f"simulate needs a positive delay tau, got {tau!r}")
     if step <= 0:
         raise ValidationError(f"step must be positive, got {step!r}")
-    if tau > 0 and step > tau / 10.0:
+    if step > tau / 10.0:
         raise ValidationError(f"step {step!r} exceeds tau/10 = {tau / 10.0!r}")
     if t_end < 10 * step:
         raise ValidationError(f"t_end {t_end!r} shorter than 10 steps")
@@ -286,8 +261,6 @@ def simulate(
     p0 = history(0.0)
     if p0 <= 0:
         raise ValidationError(f"history at t = 0 must be positive, got {p0!r}")
-    if tau == 0.0:
-        return _simulate_ode(config, p0, n, h)
 
     k, c, demand = config.k, config.c, config.demand
     lag = tau / h
@@ -388,7 +361,7 @@ def simulate(
             np.multiply(a[::2], values[s:s + b + 1], out=derivs[s:s + b + 1])
             s += b
 
-    return Trajectory(t0=0.0, step=h, values=values, derivs=derivs)
+    return Trajectory(step=h, values=values, derivs=derivs)
 
 
 def write_csv_columns(path, header: str, first: np.ndarray, second: np.ndarray) -> None:

@@ -113,11 +113,12 @@ def rhs(config: ModelConfig, p: float, p_delayed: float) -> float:
     return config.k * p * (config.demand.x(p_delayed) - config.c)
 
 
-def find_equilibrium(config: ModelConfig, initial_guess: float = 1.0) -> Equilibrium:
+def find_equilibrium(config: ModelConfig) -> Equilibrium:
     """Solve x(p*) = c by bracket expansion plus Illinois regula falsi.
 
-    The bracket grows geometrically from the initial guess (doubling upward
-    or halving downward, at most 60 times) until x(p) - c changes sign.
+    The bracket grows geometrically from p = 1, or from a point inside the
+    demand domain when 1 lies outside it (doubling upward or halving
+    downward, at most 60 times) until x(p) - c changes sign.
     Regula falsi then shrinks the bracket, with the Illinois rule (Dowell
     and Jarratt, BIT 11, 1971) halving the stale end's value whenever the
     same end survives twice, and bisection whenever the secant point would
@@ -146,7 +147,7 @@ def find_equilibrium(config: ModelConfig, initial_guess: float = 1.0) -> Equilib
     def g(p: float) -> float:
         return demand.x(p) - config.c
 
-    p0 = initial_guess
+    p0 = 1.0
     if not (lo_dom < p0 < hi_dom):
         p0 = 0.5 * (lo_dom + hi_dom) if math.isfinite(hi_dom) else max(lo_dom * 2, 1e-8)
     g0 = g(p0)
@@ -184,7 +185,7 @@ def find_equilibrium(config: ModelConfig, initial_guess: float = 1.0) -> Equilib
                 break
     else:
         raise NoBracket(
-            f"no sign change of x(p) - c within 60 doublings from p = {initial_guess!r}"
+            f"no sign change of x(p) - c within 60 doublings from p = {p0!r}"
         )
 
     # invariant here: a < b with g(a) >= 0 >= g(b). fa and fb are the values

@@ -212,7 +212,7 @@ def test_criterion_10_estimator_calibration():
                 t = h * np.arange(n + 1)
                 phase = 2.0 * math.pi * t / period
                 traj = Trajectory(
-                    t0=0.0, step=h,
+                    step=h,
                     values=p_star + b + a * np.sin(phase),
                     derivs=a * (2.0 * math.pi / period) * np.cos(phase),
                 )

@@ -35,7 +35,7 @@ def _sinusoid(a, period, offset, n_periods=24, samples_per_period=400, chirp=0.0
     dphase = 2.0 * math.pi * (1.0 / period + 2.0 * chirp * t / period)
     values = P_STAR + offset + a * np.sin(phase)
     derivs = a * np.cos(phase) * dphase
-    return Trajectory(t0=0.0, step=h, values=values, derivs=derivs)
+    return Trajectory(step=h, values=values, derivs=derivs)
 
 
 @pytest.mark.parametrize("a", [0.003, 0.02])
@@ -70,7 +70,7 @@ def test_above_onset_measures_a_cycle(run_tau32):
 def test_constant_trajectory_is_equilibrium():
     n = 2000
     traj = Trajectory(
-        t0=0.0, step=0.05,
+        step=0.05,
         values=np.full(n, P_STAR), derivs=np.zeros(n),
     )
     est = estimate_cycle(traj, P_STAR)

@@ -215,7 +215,8 @@ _NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 _NOT_NONNEGATIVE = st.floats(max_value=-5e-324) | _NONFINITE
 _NOT_POSITIVE = st.floats(max_value=0.0) | _NONFINITE
 _BAD_POSITIVE = _NOT_A_NUMBER | _NOT_POSITIVE.map(repr)
-_BAD_COUNT = st.sampled_from(["", "abc", "1.5", "2e3"]) | st.integers(max_value=0).map(str)
+_BAD_COUNT = st.sampled_from(["", "abc", "1.5", "2e3"]) | (
+    st.integers(max_value=0) | st.integers(min_value=1001)).map(str)
 _BAD_TAU_LIST = st.sampled_from(["", ",", "3.0,abc"]) | st.builds(
     lambda good, bad, at: ", ".join(map(repr, good[:at] + [bad] + good[at:])),
     st.lists(st.floats(0.0, 10.0), max_size=3), _NOT_NONNEGATIVE, st.integers(0, 3),
@@ -308,6 +309,13 @@ def test_report_keys_are_dataclass_field_names(capsys, tmp_path):
     assert len(swept["rows"]) == 2
     for obj, cls in objects:
         assert set(obj) == _field_names(cls), cls.__name__
+
+
+def test_simulate_zero_delay_exits_2(capsys):
+    rc, out, err = _run(capsys, ["simulate", "--tau", "0"])
+    assert rc == 2
+    assert out == ""
+    assert _one_error_line(err)["type"] == "ValidationError"
 
 
 def test_simulate_requires_tau(capsys):
@@ -420,7 +428,9 @@ def test_sweep_text_marks_failed_row_regime(capsys, tmp_path):
         "sweep", "--tau-list", "0,3.2", "--t-end", "200", "--out", str(out),
     ])
     assert rc == 0
-    assert "tau = 3.2: -, amplitude = -, period = -, status = TooShort" in text.splitlines()
+    lines = text.splitlines()
+    assert "tau = 0: -, amplitude = -, period = -, status = ValidationError" in lines
+    assert "tau = 3.2: -, amplitude = -, period = -, status = TooShort" in lines
     assert out.read_text(encoding="utf-8").splitlines()[2].startswith("3.2000000000000002,,")
 
 

@@ -169,7 +169,7 @@ def test_nodes_satisfy_the_equation():
     traj = simulate(model, ConstantHistory(0.025), t_end=200.0, step=0.01)
     start = int(round(10 * model.tau / traj.step))
     for i in range(start, len(traj.values) - 1, 997):
-        t = traj.t0 + i * traj.step
+        t = i * traj.step
         expect = rhs(model, float(traj.values[i]), traj.at(t - model.tau))
         assert traj.derivs[i] == pytest.approx(expect, abs=1e-9)
 
@@ -182,12 +182,14 @@ def test_prices_stay_positive_above_onset():
         assert float(np.min(traj.values)) > 0.0
 
 
-def test_zero_delay_reduces_to_ode():
-    # without delay the equilibrium is a sink: trajectories decay onto it
+def test_zero_delay_is_rejected():
+    # the method of steps needs a delay; the delay is checked before the
+    # step, t_end and memory checks, which these arguments would also fail
     model = reference_model(0.0)
-    traj = simulate(model, ConstantHistory(0.025), t_end=200.0, step=0.05)
-    assert abs(float(traj.values[-1]) - 0.02) < 1e-9
-    assert float(np.max(traj.values)) <= 0.025 + 1e-12
+    hist = ConstantHistory(0.025)
+    for t_end, step in ((200.0, 0.05), (200.0, 0.0), (0.01, 0.05), (1e30, 0.01)):
+        with pytest.raises(ValidationError, match="positive delay tau, got 0.0"):
+            simulate(model, hist, t_end=t_end, step=step)
 
 
 def test_default_step_rule():
@@ -195,9 +197,6 @@ def test_default_step_rule():
         min(3.2 / 100.0, (2 * math.pi / 0.5) / 200.0), rel=1e-15
     )
     assert default_step(50.0, 0.5) == pytest.approx(
-        (2 * math.pi / 0.5) / 200.0, rel=1e-15
-    )
-    assert default_step(0.0, 0.5) == pytest.approx(
         (2 * math.pi / 0.5) / 200.0, rel=1e-15
     )
 
@@ -247,7 +246,6 @@ def test_simulate_validation():
         (1e-300, 1.0, 1e-302),  # 1e302 nodes
         (3.2, 1e300, 1e-300),  # t_end/step overflows to inf
         (3.2, math.nan, 0.01),
-        (0.0, 1e30, 0.01),  # the ODE path gets the same check
     ],
 )
 def test_simulate_rejects_nodes_beyond_memory(tau, t_end, step):
@@ -344,17 +342,16 @@ def rowwise_trajectory_csv(traj, path):
     replaced, kept as the byte-for-byte reference."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,p\n")
-        t0, h = traj.t0, traj.step
         for i, v in enumerate(traj.values):
-            fh.write("%.17g,%.17g\n" % (t0 + h * i, v))
+            fh.write("%.17g,%.17g\n" % (traj.step * i, v))
 
 
 @pytest.mark.parametrize("make", [
     lambda: simulate(reference_model(3.2), ConstantHistory(0.025), t_end=50.0, step=0.05),
-    lambda: Trajectory(t0=-7.3, step=0.013, values=np.linspace(0.5, 3.0, 1001) ** 3,
+    lambda: Trajectory(step=0.013, values=np.linspace(0.5, 3.0, 1001) ** 3,
                        derivs=np.zeros(1001)),
-    lambda: Trajectory(t0=0.0, step=0.1, values=np.array([0.02, 1 / 3]), derivs=np.zeros(2)),
-], ids=["simulated", "nonzero_t0", "two_nodes"])
+    lambda: Trajectory(step=0.1, values=np.array([0.02, 1 / 3]), derivs=np.zeros(2)),
+], ids=["simulated", "non_round_step", "two_nodes"])
 def test_trajectory_csv_matches_rowwise_writer(tmp_path, make):
     traj = make()
     write_trajectory_csv(traj, tmp_path / "new.csv")
@@ -378,7 +375,7 @@ def test_read_trajectory_csv_rejects_malformed_file(tmp_path, text, why):
 
 def test_dense_output_outside_range():
     traj = Trajectory(
-        t0=0.0, step=1.0,
+        step=1.0,
         values=np.array([1.0, 2.0, 3.0]),
         derivs=np.array([0.0, 0.0, 0.0]),
     )
@@ -392,34 +389,33 @@ def test_dense_output_outside_range():
 def test_trajectory_validation():
     ok = np.array([1.0, 2.0])
     with pytest.raises(ValidationError):
-        Trajectory(t0=0.0, step=-1.0, values=ok, derivs=ok)
+        Trajectory(step=-1.0, values=ok, derivs=ok)
     with pytest.raises(ValidationError):
-        Trajectory(t0=0.0, step=1.0, values=np.array([1.0]), derivs=np.array([0.0]))
+        Trajectory(step=1.0, values=np.array([1.0]), derivs=np.array([0.0]))
     with pytest.raises(ValidationError):
-        Trajectory(t0=0.0, step=1.0, values=ok, derivs=np.array([0.0]))
+        Trajectory(step=1.0, values=ok, derivs=np.array([0.0]))
 
 
 def test_dense_output_matches_nodes(run_tau30):
     idx = np.array([100, 5000, 120000])
-    t = run_tau30.t0 + idx * run_tau30.step
+    t = idx * run_tau30.step
     vals = run_tau30.at(t)
     np.testing.assert_allclose(vals, run_tau30.values[idx], rtol=0, atol=1e-14)
 
 
 @given(
     coeffs=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
-    t0=st.floats(-10.0, 10.0),
     step=st.floats(1e-3, 1.0),
     n=st.integers(2, 50),
     fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
 )
-def test_dense_output_reproduces_cubics(coeffs, t0, step, n, fractions):
+def test_dense_output_reproduces_cubics(coeffs, step, n, fractions):
     # Cubic Hermite interpolation is exact on cubics: nodes sampling
     # q and q' give back q between the nodes, up to round-off.
     q = np.polynomial.Polynomial(coeffs)
-    t_nodes = t0 + step * np.arange(n)
-    traj = Trajectory(t0=t0, step=step, values=q(t_nodes), derivs=q.deriv()(t_nodes))
-    t = t0 + np.array(fractions) * (traj.t_end - t0)
-    reach = max(1.0, abs(t0), abs(traj.t_end))
+    t_nodes = step * np.arange(n)
+    traj = Trajectory(step=step, values=q(t_nodes), derivs=q.deriv()(t_nodes))
+    t = np.array(fractions) * traj.t_end
+    reach = max(1.0, traj.t_end)
     scale = sum(abs(a) * reach**i for i, a in enumerate(coeffs))
     np.testing.assert_allclose(traj.at(t), q(t), rtol=0, atol=1e-13 * scale)
