@@ -94,8 +94,8 @@ def is_locally_stable(analysis: LinearAnalysis, tau: float) -> StabilityVerdict:
     The boundary gets a relative tolerance band of 1e-9*tau0 and its own
     verdict so callers never mistake the borderline case for a side.
     """
-    if tau < 0:
-        raise ValidationError(f"delay must be nonnegative, got {tau!r}")
+    if not 0 <= tau < math.inf:
+        raise ValidationError(f"delay tau must be nonnegative and finite, got {tau!r}")
     tol = 1e-9 * analysis.tau0
     if abs(tau - analysis.tau0) <= tol:
         return StabilityVerdict.CRITICAL
@@ -116,8 +116,8 @@ def characteristic_root(
     SingularJacobian
         If |g'| falls below 1e-14 at an iterate.
     """
-    if tau < 0:
-        raise ValidationError(f"delay must be nonnegative, got {tau!r}")
+    if not 0 <= tau < math.inf:
+        raise ValidationError(f"delay tau must be nonnegative and finite, got {tau!r}")
     if not (math.isfinite(guess.real) and math.isfinite(guess.imag)):
         raise ValidationError(f"guess must be finite, got {guess!r}")
     b2 = coeffs.b2
@@ -227,8 +227,8 @@ def rightmost_root(coeffs: TaylorCoefficients, tau: float) -> ComplexRoot:
     all twelve starts run. The roots found, their order and the result are
     the same either way.
     """
-    if tau <= 0:
-        raise ValidationError(f"rightmost_root needs tau > 0, got {tau!r}")
+    if not 0 < tau < math.inf:
+        raise ValidationError(f"rightmost_root needs a positive finite delay tau, got {tau!r}")
     b2 = coeffs.b2
     w0 = _principal_lambert_w(b2 * tau)
     target = None if w0 is None else w0 / tau

@@ -122,8 +122,8 @@ class _Chain:
     """Shared analysis pipeline: model, equilibrium, coefficients, linear,
     expansion, evaluated once per command."""
 
-    def __init__(self, cfg: RunConfig, tau: float | None = None):
-        self.model: ModelConfig = cfg.build_model(tau=tau)
+    def __init__(self, cfg: RunConfig):
+        self.model: ModelConfig = cfg.build_model()
         self.eq: Equilibrium = find_equilibrium(self.model)
         self.coeffs: TaylorCoefficients = taylor_coefficients(self.model, self.eq)
         self.linear: LinearAnalysis = linear_analysis(self.coeffs, n_critical=cfg.n_critical)
@@ -209,7 +209,7 @@ def cmd_analyze(cfg: RunConfig, argv: list[str]) -> int:
 def cmd_simulate(cfg: RunConfig, argv: list[str]) -> int:
     if cfg.tau is None:
         raise ValidationError("simulate requires a delay (--tau or [simulation] tau)")
-    chain = _Chain(cfg, tau=cfg.tau)
+    chain = _Chain(cfg)
     step = cfg.step if cfg.step is not None else default_step(cfg.tau, chain.linear.omega0)
     p0 = cfg.history_p0 if cfg.history_p0 is not None else 1.25 * chain.eq.p_star
     traj = simulate(chain.model, ConstantHistory(p0), cfg.t_end, step)
@@ -271,7 +271,7 @@ def cmd_sweep(cfg: RunConfig, argv: list[str]) -> int:
     if not cfg.out:
         raise ValidationError("sweep requires --out for the diagram CSV")
     rows = sweep(
-        cfg.build_model(tau=0.0),
+        cfg.build_model(),
         cfg.tau_list,
         t_end=cfg.t_end,
         step=cfg.step,
@@ -326,9 +326,11 @@ def cmd_predict(cfg: RunConfig, argv: list[str]) -> int:
     return 0
 
 
-def _verify_rows(closed: TaylorCoefficients, oracle: TaylorCoefficients) -> list[dict]:
-    closed_map = closed.as_dict()
-    oracle_map = oracle.as_dict()
+def verify_coefficients(model: ModelConfig) -> list[dict]:
+    """Per-coefficient comparison rows for any model (library entry point)."""
+    eq = find_equilibrium(model)
+    closed_map = taylor_coefficients(model, eq).as_dict()
+    oracle_map = numeric_taylor_oracle(model, eq).as_dict()
     scale = max(1.0, max(abs(v) for v in closed_map.values()))
     rows = []
     for name in ("b1", "b2", "b3", "b4", "b5", "b6", "b7", "b8", "b9"):
@@ -351,15 +353,9 @@ def _verify_rows(closed: TaylorCoefficients, oracle: TaylorCoefficients) -> list
     return rows
 
 
-def verify_coefficients(model: ModelConfig) -> list[dict]:
-    """Per-coefficient comparison rows for any model (library entry point)."""
-    eq = find_equilibrium(model)
-    return _verify_rows(taylor_coefficients(model, eq), numeric_taylor_oracle(model, eq))
-
-
 def cmd_verify(cfg: RunConfig, argv: list[str]) -> int:
     chain = _Chain(cfg)
-    rows = _verify_rows(chain.coeffs, numeric_taylor_oracle(chain.model, chain.eq))
+    rows = verify_coefficients(chain.model)
     ok = all(row["status"] != "mismatch" for row in rows)
     report = {
         "config": cfg.to_sections(),

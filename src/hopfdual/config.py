@@ -153,11 +153,11 @@ class RunConfig:
                 if not ok:
                     raise ValidationError(f"{key} must be {setting.rule[1]}, got {value!r}")
 
-    def build_model(self, tau: float | None = None) -> ModelConfig:
-        """ModelConfig at the given delay (0 when analysis needs no delay)."""
-        use_tau = tau if tau is not None else (self.tau if self.tau is not None else 0.0)
+    def build_model(self) -> ModelConfig:
+        """ModelConfig at the configured delay, or at 0 when none is set."""
         demand = make_demand(self.demand_family, w=self.w, alpha=self.alpha)
-        return ModelConfig(k=self.k, c=self.c, tau=use_tau, demand=demand)
+        tau = self.tau if self.tau is not None else 0.0
+        return ModelConfig(k=self.k, c=self.c, tau=tau, demand=demand)
 
     def to_sections(self) -> dict[str, dict]:
         """Resolved settings as nested file-format sections (None omitted)."""

@@ -164,7 +164,8 @@ class Trajectory:
         """Dense output by cubic Hermite interpolation at arbitrary times."""
         t = np.asarray(time, dtype=float)
         slack = 1e-9 * self.step
-        if np.any(t < -slack) or np.any(t > self.t_end + slack):
+        # Written so that a nan time fails the check too.
+        if not np.all((t >= -slack) & (t <= self.t_end + slack)):
             raise DelayedLookupGap(f"dense output requested outside [0, {self.t_end:g}]")
         pos = np.clip(t / self.step, 0.0, len(self.values) - 1.0)
         j = np.minimum(pos.astype(int), len(self.values) - 2)

@@ -1,8 +1,11 @@
 """Rate-demand curves x(p): price in, sending rate out.
 
-Each family exposes the curve and its first three derivatives on an open
-domain, and `rates`, the curve over a whole array of prices. Demand must be positive and strictly decreasing wherever it is
-evaluated; the analysis modules rely on x'(p*) < 0.
+A family provides three methods on an open price domain: `x`, the curve at
+one price; `rates`, the curve over a whole array of prices; and
+`derivatives`, the tuple (x'(p), x''(p), x'''(p)) at one price, which only
+model.taylor_coefficients asks for. Demand must be positive and strictly
+decreasing wherever it is evaluated; the analysis modules rely on
+x'(p*) < 0.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .errors import DomainViolation, ValidationError
 
 @dataclass(frozen=True)
 class DemandFunction:
-    """Base demand curve. Subclasses implement x and its derivatives.
+    """Base demand curve. Subclasses implement x and derivatives.
 
     Attributes
     ----------
@@ -59,13 +62,8 @@ class DemandFunction:
         p = self._check_array(p)
         return np.array([self.x(v) for v in p.ravel().tolist()]).reshape(p.shape)
 
-    def dx(self, p: float) -> float:
-        raise NotImplementedError
-
-    def d2x(self, p: float) -> float:
-        raise NotImplementedError
-
-    def d3x(self, p: float) -> float:
+    def derivatives(self, p: float) -> tuple[float, float, float]:
+        """(x'(p), x''(p), x'''(p))."""
         raise NotImplementedError
 
 
@@ -87,17 +85,9 @@ class Reciprocal(DemandFunction):
     def rates(self, p) -> np.ndarray:
         return self.w / self._check_array(p)
 
-    def dx(self, p: float) -> float:
+    def derivatives(self, p: float) -> tuple[float, float, float]:
         self._check(p)
-        return -self.w / p**2
-
-    def d2x(self, p: float) -> float:
-        self._check(p)
-        return 2.0 * self.w / p**3
-
-    def d3x(self, p: float) -> float:
-        self._check(p)
-        return -6.0 * self.w / p**4
+        return -self.w / p**2, 2.0 * self.w / p**3, -6.0 * self.w / p**4
 
 
 @dataclass(frozen=True)
@@ -123,28 +113,21 @@ class PowerLaw(DemandFunction):
     def rates(self, p) -> np.ndarray:
         return (self.w / self._check_array(p)) ** (1.0 / self.alpha)
 
-    def dx(self, p: float) -> float:
+    def derivatives(self, p: float) -> tuple[float, float, float]:
         b = 1.0 / self.alpha
-        return -b * self.x(p) / p
-
-    def d2x(self, p: float) -> float:
-        b = 1.0 / self.alpha
-        return b * (b + 1.0) * self.x(p) / p**2
-
-    def d3x(self, p: float) -> float:
-        b = 1.0 / self.alpha
-        return -b * (b + 1.0) * (b + 2.0) * self.x(p) / p**3
+        x = self.x(p)
+        return -b * x / p, b * (b + 1.0) * x / p**2, -b * (b + 1.0) * (b + 2.0) * x / p**3
 
 
 @dataclass(frozen=True)
 class NumericWrapper(DemandFunction):
     """Wraps an arbitrary scalar demand callable on an explicit open domain.
 
-    Derivatives come from Ridders-extrapolated central differences, so the
-    wrapped function must be smooth; accuracy is typically far better than
-    the 1e-5 tolerance the coefficient oracle asks for. Only
-    model.taylor_coefficients uses them: the equilibrium solver and the
-    coefficient oracle evaluate x alone.
+    `derivatives` runs three Ridders-extrapolated central differences
+    (numdiff.derivative of orders 1, 2 and 3), so the wrapped function must
+    be smooth; accuracy is typically far better than the 1e-5 tolerance the
+    coefficient oracle asks for. They feed only model.taylor_coefficients:
+    the equilibrium solver and the coefficient oracle evaluate x alone.
     """
 
     func: Callable[[float], float] = None  # type: ignore[assignment]
@@ -167,19 +150,10 @@ class NumericWrapper(DemandFunction):
         self._check(p)
         return self.func(p)
 
-    def _numeric(self, p: float, order: int) -> float:
+    def derivatives(self, p: float) -> tuple[float, float, float]:
         self._check(p)
         hi = self.hi if math.isfinite(self.hi) else None
-        return numdiff.derivative(self.func, p, order, lo=self.lo, hi=hi)
-
-    def dx(self, p: float) -> float:
-        return self._numeric(p, 1)
-
-    def d2x(self, p: float) -> float:
-        return self._numeric(p, 2)
-
-    def d3x(self, p: float) -> float:
-        return self._numeric(p, 3)
+        return tuple(numdiff.derivative(self.func, p, n, lo=self.lo, hi=hi) for n in (1, 2, 3))
 
 
 FAMILIES = {"reciprocal", "powerlaw"}

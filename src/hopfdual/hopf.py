@@ -327,8 +327,8 @@ def predicted_cycle(exp: HopfExpansion | NormalForm, tau: float) -> CyclePredict
     ExpansionInvalid
         If the predicted frequency is nonpositive (tau absurdly far out).
     """
-    if tau < 0:
-        raise ValidationError(f"delay must be nonnegative, got {tau!r}")
+    if not 0 <= tau < math.inf:
+        raise ValidationError(f"delay tau must be nonnegative and finite, got {tau!r}")
     if "tau2" in exp.degenerate or exp.tau2 == 0.0:
         raise DegenerateBifurcation("tau2")
     eps2 = (tau - exp.tau0) / exp.tau2

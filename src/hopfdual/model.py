@@ -222,9 +222,7 @@ def taylor_coefficients(config: ModelConfig, eq: Equilibrium) -> TaylorCoefficie
     """Canonical closed-form coefficients at the equilibrium."""
     p = eq.p_star
     k = config.k
-    d1 = config.demand.dx(p)
-    d2 = config.demand.d2x(p)
-    d3 = config.demand.d3x(p)
+    d1, d2, d3 = config.demand.derivatives(p)
     return TaylorCoefficients(
         b1=0.0,
         b2=k * p * d1,

@@ -22,6 +22,7 @@ from hopfdual import (
     find_equilibrium,
     is_locally_stable,
     linear_analysis,
+    predicted_cycle,
     rightmost_root,
     taylor_coefficients,
 )
@@ -113,6 +114,22 @@ def test_rightmost_root_sign_bracket(coeffs, linear):
 def test_rightmost_root_requires_positive_tau(coeffs):
     with pytest.raises(ValidationError):
         rightmost_root(coeffs, 0.0)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda coeffs, linear, expansion, tau: is_locally_stable(linear, tau),
+        lambda coeffs, linear, expansion, tau: characteristic_root(coeffs, tau, 0.5j),
+        lambda coeffs, linear, expansion, tau: rightmost_root(coeffs, tau),
+        lambda coeffs, linear, expansion, tau: predicted_cycle(expansion, tau),
+    ],
+    ids=["is_locally_stable", "characteristic_root", "rightmost_root", "predicted_cycle"],
+)
+def test_delay_must_be_finite_and_nonnegative(coeffs, linear, expansion, call, tau):
+    with pytest.raises(ValidationError, match="delay tau"):
+        call(coeffs, linear, expansion, tau)
 
 
 def grid_rightmost_root(coeffs, tau):

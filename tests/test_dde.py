@@ -383,6 +383,10 @@ def test_dense_output_outside_range():
         traj.at(-0.5)
     with pytest.raises(DelayedLookupGap):
         traj.at(2.5)
+    with pytest.raises(DelayedLookupGap):
+        traj.at(math.nan)
+    with pytest.raises(DelayedLookupGap):
+        traj.at(np.array([0.5, math.nan, 1.5]))
     assert traj.at(2.0) == pytest.approx(3.0, rel=1e-15)
 
 

@@ -23,9 +23,10 @@ def test_reciprocal_values_and_derivatives():
     d = Reciprocal(w=2.0)
     p = 0.4
     assert d.x(p) == pytest.approx(5.0, rel=1e-15)
-    assert d.dx(p) == pytest.approx(-12.5, rel=1e-15)
-    assert d.d2x(p) == pytest.approx(62.5, rel=1e-15)
-    assert d.d3x(p) == pytest.approx(-6.0 * 2.0 / 0.4**4, rel=1e-15)
+    d1, d2, d3 = d.derivatives(p)
+    assert d1 == pytest.approx(-12.5, rel=1e-15)
+    assert d2 == pytest.approx(62.5, rel=1e-15)
+    assert d3 == pytest.approx(-6.0 * 2.0 / 0.4**4, rel=1e-15)
 
 
 def test_powerlaw_alpha_one_equals_reciprocal():
@@ -33,15 +34,13 @@ def test_powerlaw_alpha_one_equals_reciprocal():
     rec = Reciprocal(w=1.7)
     for p in (0.2, 1.0, 3.5):
         assert pl.x(p) == pytest.approx(rec.x(p), rel=1e-14)
-        assert pl.dx(p) == pytest.approx(rec.dx(p), rel=1e-14)
-        assert pl.d2x(p) == pytest.approx(rec.d2x(p), rel=1e-14)
-        assert pl.d3x(p) == pytest.approx(rec.d3x(p), rel=1e-14)
+        assert pl.derivatives(p) == pytest.approx(rec.derivatives(p), rel=1e-14)
 
 
 def test_powerlaw_derivatives_match_finite_differences():
     d = PowerLaw(w=1.3, alpha=2.5)
     for p in (0.3, 1.1):
-        for order, exact in ((1, d.dx(p)), (2, d.d2x(p)), (3, d.d3x(p))):
+        for order, exact in enumerate(d.derivatives(p), start=1):
             approx = derivative(d.x, p, order, lo=0.0)
             assert approx == pytest.approx(exact, rel=1e-6), (p, order)
 
@@ -50,7 +49,7 @@ def test_powerlaw_is_decreasing_and_positive():
     d = PowerLaw(w=1.0, alpha=0.5)
     for p in (0.01, 0.1, 1.0, 10.0):
         assert d.x(p) > 0.0
-        assert d.dx(p) < 0.0
+        assert d.derivatives(p)[0] < 0.0
 
 
 def test_numeric_wrapper_matches_analytic_reciprocal():
@@ -58,10 +57,23 @@ def test_numeric_wrapper_matches_analytic_reciprocal():
     wrap = NumericWrapper(func=lambda p: 1.0 / p, domain_lo=0.0, label="wrapped")
     p = 0.02
     assert wrap.x(p) == rec.x(p)
-    assert wrap.dx(p) == pytest.approx(rec.dx(p), rel=1e-9)
-    assert wrap.d2x(p) == pytest.approx(rec.d2x(p), rel=1e-8)
-    assert wrap.d3x(p) == pytest.approx(rec.d3x(p), rel=1e-6)
+    for got, exact, rel in zip(wrap.derivatives(p), rec.derivatives(p), (1e-9, 1e-8, 1e-6)):
+        assert got == pytest.approx(exact, rel=rel)
     assert wrap.name == "wrapped"
+
+
+@pytest.mark.parametrize("domain_hi, hi", [(math.inf, None), (0.04, 0.04)])
+def test_numeric_wrapper_derivatives_are_ridders_derivatives(domain_hi, hi):
+    """derivatives(p) is numdiff.derivative of orders 1, 2, 3, bit for bit;
+    an infinite upper bound reaches numdiff as no bound."""
+
+    def func(p):
+        return (2.0 / p) ** 0.7
+
+    wrap = NumericWrapper(func=func, domain_lo=0.0, domain_hi=domain_hi)
+    p = 0.021
+    expected = tuple(derivative(func, p, n, lo=0.0, hi=hi) for n in (1, 2, 3))
+    assert wrap.derivatives(p) == expected
 
 
 def test_domain_violations():

@@ -95,10 +95,8 @@ def test_equilibrium_is_the_root_to_round_off(k, c, w, alpha):
 class _CurveOnly(NumericWrapper):
     """A wrapped demand curve that refuses to be differentiated."""
 
-    def dx(self, p):
-        raise AssertionError(f"derivative of the demand requested at p = {p!r}")
-
-    d2x = d3x = dx
+    def derivatives(self, p):
+        raise AssertionError(f"derivatives of the demand requested at p = {p!r}")
 
 
 def test_equilibrium_needs_only_the_demand_curve():
