@@ -131,6 +131,13 @@ def _transient_heuristic(v: np.ndarray, h: float) -> float:
     return h * float(max_idx[first_settled])
 
 
+def _check_transient_fraction(transient_fraction: float) -> None:
+    if not 0.0 <= transient_fraction < 1.0:
+        raise ValidationError(
+            f"transient_fraction must be in [0, 1), got {transient_fraction!r}"
+        )
+
+
 def estimate_cycle(
     traj: Trajectory, p_star: float, transient_fraction: float = 0.5
 ) -> CycleEstimate:
@@ -148,10 +155,7 @@ def estimate_cycle(
         If the window is not at equilibrium yet holds fewer than 5
         complete cycles.
     """
-    if not 0.0 <= transient_fraction < 1.0:
-        raise ValidationError(
-            f"transient_fraction must be in [0, 1), got {transient_fraction!r}"
-        )
+    _check_transient_fraction(transient_fraction)
     v = traj.values
     h = traj.step
     span = h * (len(v) - 1)
@@ -255,17 +259,23 @@ def sweep(
     Rows are ordered by tau. A row whose simulation or measurement fails
     carries the failure's class name in its status instead of aborting the
     sweep. Predictions appear only above the bifurcation point.
+
+    Raises ValidationError before integrating anything if tau_values is
+    empty or holds a negative, nan or infinite delay, if transient_fraction
+    is outside [0, 1), or if history_p0 is not a positive price.
     """
     taus = [float(t) for t in tau_values]
     if not taus:
         raise ValidationError("tau_values must be nonempty")
-    if any(t < 0 for t in taus):
-        raise ValidationError("every tau must be nonnegative")
+    for t in taus:
+        if not 0 <= t < math.inf:
+            raise ValidationError(f"delay tau must be nonnegative and finite, got {t!r}")
+    _check_transient_fraction(transient_fraction)
     eq = find_equilibrium(config)
     coeffs = taylor_coefficients(config, eq)
     analysis = linear_analysis(coeffs)
     exp = hopf_expansion(coeffs, analysis)
-    p0 = 1.25 * eq.p_star if history_p0 is None else history_p0
+    history = ConstantHistory(1.25 * eq.p_star if history_p0 is None else history_p0)
 
     rows: list[DiagramRow] = []
     for tau in sorted(taus):
@@ -274,7 +284,7 @@ def sweep(
         try:
             cfg = dataclasses.replace(config, tau=tau)
             h = default_step(tau, analysis.omega0) if step is None else step
-            traj = simulate(cfg, ConstantHistory(p0), t_end, h)
+            traj = simulate(cfg, history, t_end, h)
             est = estimate_cycle(traj, eq.p_star, transient_fraction)
             cycle = est.regime is Regime.LIMIT_CYCLE
             row = dataclasses.replace(

@@ -15,10 +15,14 @@ one such block at a time: it evaluates the block's delayed prices at once
 (they form a half-step grid of 2B + 1 points, as the last stage time of a
 step is the first of the next), calls the demand once on that array, and
 takes the nodes as a running product of the growth factors. The node
-values and derivatives are the two rows of one array, so one gather, at a
-fixed index offset by the block start, reads all four Hermite inputs of a
-block; points that still lie in the history are then taken from the
-history. The block length follows from tau/step; it is not a setting.
+values and derivatives are the two rows of one array, so one gather at a
+fixed index, relative to the first node the block reads, takes all four
+Hermite inputs of a block. Only the first blocks, whose points still lie
+in the history, gather at absolute, clipped indices; those points are then
+taken from the history. The views into the block buffers are built once
+and reused by every full block; a shorter block (the last one, or one cut
+short by a domain violation) slices them again. The block length follows
+from tau/step; it is not a setting.
 
 The node derivative stored for Hermite interpolation is the RK4 first-stage
 slope, i.e. the exact right-hand side at the node, which makes the dense
@@ -278,88 +282,111 @@ def simulate(
     offset = half - lag
     left = np.floor(offset)
     w00, w10, w01, w11 = _hermite_weights(offset - left)
-    # weights[r, e] multiplies row r (value, derivative) at node j + e.
-    weights = np.array(((w00, w01), (w10 * h, w11 * h)))
+    # weights[r] multiplies gathered row r: v_j, d_j, v_{j+1}, d_{j+1} (node
+    # values v, derivatives d); the derivative weights carry the factor h.
+    weights = np.array((w00, w10 * h, w01, w11 * h))
     left = left.astype(int)
+    first = int(left[0])
 
-    # Node values and derivatives are the rows of one array, so that one
-    # gather reads all four Hermite inputs of a block. A block at step s
-    # gathers nodes s + index. Points still in the history index below
-    # node 0, where clipping reads node 0, and the history values then
-    # replace them. Zeros, not empty, so that those reads are finite: the
-    # first block reads node 0's derivative before setting it.
-    index = np.stack((left, left + 1))
-    at = np.empty_like(index)
+    # Node values and derivatives are the two rows of one (2, n + 1) array,
+    # so flat[j] is node j's value and flat[n + 1 + j] its derivative. Point
+    # q of a block at step s reads nodes s + left[q] and s + left[q] + 1, so
+    # one gather at a fixed index into flat[s + left[0]:] reads all four
+    # Hermite inputs of a block. Early blocks, whose first points still lie
+    # in the history (s + left[0] < 0), gather at the clipped absolute index
+    # instead, and the history values then replace those points. Zeros, not
+    # empty, so that those clipped reads, which may land on any slot, are
+    # finite.
+    rel = left - first
+    index = np.stack((rel, rel + n + 1, rel + 1, rel + n + 2))
     node_rows = np.zeros((2, n + 1))
+    flat = node_rows.ravel()
     values, derivs = node_rows
     values[0] = p0
-    gathered = np.empty((2, 2, 2 * block + 1))
+    gathered = np.empty((4, 2 * block + 1))
     delayed = np.empty(2 * block + 1)
     rate = np.empty(2 * block + 1)
     stages = np.empty((3, block))
     growth = np.empty(block + 1)
+
+    def views(b):
+        """Views of the block buffers for b steps: the rates a at all 2b + 1
+        points and at the b + 1 nodes; a0, a1, a2 (the rates that stage 1,
+        stages 2 and 3, and stage 4 of each step read); the three RK4 stage
+        rows; the growth factors with the block's first node in front, and
+        without it."""
+        a = rate[:2 * b + 1]
+        a1g2, a1g3, a2g4 = stages[:, :b]
+        return (a, a[::2], a[0:-1:2], a[1::2], a[2::2], a1g2, a1g3, a2g4,
+                growth[:b + 1], growth[1:b + 1])
+
+    # A full block uses these; only a shorter one slices again.
+    full = views(block)
+    half_h, sixth_h = 0.5 * h, h / 6.0
     s = 0
     # Overflow to inf or nan in a block is reported by the node check below.
     with np.errstate(over="ignore", invalid="ignore"):
         while s < n:
             b = min(block, n - s)
-            np.add(index, s, out=at)
-            np.take(node_rows, at, axis=1, out=gathered, mode="clip")
+            start = s + first
+            if start >= 0:
+                flat[start:].take(index, out=gathered, mode="clip")
+            else:
+                flat.take(index + start, out=gathered, mode="clip")
             gathered *= weights
-            pd = np.add(gathered[0, 0], gathered[1, 0], out=delayed)
-            pd += gathered[0, 1]
-            pd += gathered[1, 1]
-            if at[0, 0] < 0:
-                cut = int(np.searchsorted(at[0], 0))
-                pd[:cut] = [history(t) for t in ((s + half[:cut] - lag) * h).tolist()]
-            pd = pd[: 2 * b + 1]
+            # Summed row by row: ((w00 v_j + w10 h d_j) + w01 v_{j+1}) + w11 h d_{j+1}
+            np.add.reduce(gathered, axis=0, out=delayed)
+            if start < 0:
+                cut = int(np.searchsorted(left, -s))
+                delayed[:cut] = [history(t) for t in ((s + half[:cut] - lag) * h).tolist()]
             try:
-                x = demand.rates(pd)
+                x = demand.rates(delayed if b == block else delayed[:2 * b + 1])
             except DomainViolation:
                 # Fail where one step at a time would: advance only the steps
                 # before the first one that reads a point outside the domain;
                 # the next block then starts at that step and raises.
+                pd = delayed[:2 * b + 1]
                 outside = int(np.argmin((demand.lo < pd) & (pd < demand.hi)))
                 b = (outside - 1) // 2
                 if b <= 0:
                     raise
-                pd = pd[: 2 * b + 1]
-                x = demand.rates(pd)
-            a = np.subtract(x, c, out=rate[: 2 * b + 1])
+                x = demand.rates(delayed[:2 * b + 1])
+            a, a_nodes, a0, a1, a2, a1g2, a1g3, a2g4, grow, rk4 = (
+                full if b == block else views(b)
+            )
+            np.subtract(x, c, out=a)
             a *= k
-            a0, a1, a2 = a[0:-1:2], a[1::2], a[2::2]
             # The RK4 stages are p a0, p a1 g2, p a1 g3 and p a2 g4, with
             # g2 = 1 + h/2 a0, g3 = 1 + h/2 a1 g2 and g4 = 1 + h a1 g3.
-            a1g2, a1g3, a2g4 = stages[:, :b]
-            np.multiply(a0, 0.5 * h, out=a1g2)
+            np.multiply(a0, half_h, out=a1g2)
             a1g2 += 1.0
             a1g2 *= a1
-            np.multiply(a1g2, 0.5 * h, out=a1g3)
+            np.multiply(a1g2, half_h, out=a1g3)
             a1g3 += 1.0
             a1g3 *= a1
             np.multiply(a1g3, h, out=a2g4)
             a2g4 += 1.0
             a2g4 *= a2
             # growth = 1 + h/6 (a0 + 2 a1g2 + 2 a1g3 + a2g4), left to right
-            rk4 = growth[1:b + 1]
             a1g2 *= 2.0
             np.add(a0, a1g2, out=rk4)
             a1g3 *= 2.0
             rk4 += a1g3
             rk4 += a2g4
-            rk4 *= h / 6.0
+            rk4 *= sixth_h
             rk4 += 1.0
-            growth[0] = values[s]
-            np.cumprod(growth[:b + 1], out=values[s:s + b + 1])
+            nodes = values[s:s + b + 1]
+            grow[0] = nodes[0]
+            np.multiply.accumulate(grow, out=nodes)
             # From a node in (0, inf), the running product stays in (0, inf)
             # exactly when every factor is > 0 and its last node is in (0, inf).
-            if not (rk4.min() > 0.0 and 0.0 < values[s + b] < math.inf):
-                nodes = values[s + 1:s + b + 1]
-                i = int(np.argmin(np.isfinite(nodes) & (nodes > 0.0)))
-                _check_node(float(nodes[i]), (s + i + 1) * h)
+            if not (np.minimum.reduce(rk4) > 0.0 and 0.0 < nodes[b] < math.inf):
+                tail = nodes[1:]
+                i = int(np.argmin(np.isfinite(tail) & (tail > 0.0)))
+                _check_node(float(tail[i]), (s + i + 1) * h)
             # Node s + b gets its derivative here too: the last block thus
             # fills derivs[n], and the next block recomputes the same value.
-            np.multiply(a[::2], values[s:s + b + 1], out=derivs[s:s + b + 1])
+            np.multiply(a_nodes, nodes, out=derivs[s:s + b + 1])
             s += b
 
     return Trajectory(step=h, values=values, derivs=derivs)

@@ -45,7 +45,8 @@ class DemandFunction:
     def _check_array(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         # min and max carry a nan through, so a nan price takes the mask path.
-        if p.size and not (p.min() > self.lo and p.max() < self.hi):
+        if p.size and not (np.minimum.reduce(p, axis=None) > self.lo
+                           and np.maximum.reduce(p, axis=None) < self.hi):
             inside = (self.lo < p) & (p < self.hi)
             bad = float(p[~inside][0])
             raise DomainViolation(

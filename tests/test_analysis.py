@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_model
+from hopfdual import analysis
 from hopfdual import (
     SWEEP_HEADER,
     CycleEstimate,
@@ -160,12 +161,24 @@ def test_sweep_keeps_going_past_failed_rows():
     assert rows[0].amp_meas is None
 
 
-def test_sweep_validation():
+def test_sweep_validation(monkeypatch):
+    # every bad argument is refused before any delay is integrated
+    def no_simulation(*args):
+        raise AssertionError("sweep integrated before validating its arguments")
+
+    monkeypatch.setattr(analysis, "simulate", no_simulation)
     model = reference_model(0.0)
     with pytest.raises(ValidationError):
         sweep(model, [], t_end=1000.0)
     with pytest.raises(ValidationError):
         sweep(model, [3.0, -1.0], t_end=1000.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match=repr(bad)):
+            sweep(model, [bad, 3.0], t_end=100.0)
+    with pytest.raises(ValidationError, match="transient_fraction"):
+        sweep(model, [3.2, 3.3], t_end=500.0, step=0.02, transient_fraction=1.5)
+    with pytest.raises(ValidationError, match="history price"):
+        sweep(model, [3.2, 3.3], t_end=500.0, step=0.02, history_p0=-1.0)
 
 
 def test_sweep_csv_layout(tmp_path):

@@ -310,14 +310,22 @@ def test_positivity_loss_before_a_sign_flip_back_reports_node_time():
 
 def test_domain_violation_matches_scalar_loop():
     # the cycle at tau = 3.3 grows past the wrapper's upper domain bound;
-    # both integrators must fail with the same error, not integrate on
+    # both integrators must fail with the same error, not integrate on, and
+    # name the same first delayed price outside the domain. That price falls
+    # inside a full block that is not the last, so `simulate` first advances
+    # the steps before it, on views sliced to that shorter block, and then
+    # fails at the step that reads it.
     model = dataclasses.replace(
         reference_model(3.3),
         demand=NumericWrapper(func=lambda p: 1.0 / p, domain_lo=0.0, domain_hi=0.0245),
     )
+    prices = []
     for run in (simulate, scalar_simulate):
-        with pytest.raises(DomainViolation):
+        with pytest.raises(DomainViolation, match=r"^price \S+ outside") as excinfo:
             run(model, ConstantHistory(0.021), 2000.0, 0.02)
+        prices.append(float(str(excinfo.value).split()[1]))
+    assert prices[0] > 0.0245
+    assert prices[0] == pytest.approx(prices[1], rel=1e-12, abs=0.0)
 
 
 def test_positivity_loss_carries_time_attribute():
