@@ -215,17 +215,10 @@ def rightmost_root(coeffs: TaylorCoefficients, tau: float) -> ComplexRoot:
     roots so large that round-off in Newton's residual alone spreads its
     copies that far.
 
-    The three real-axis starts (frequency 0) are dropped when they cannot
-    converge. Newton's iterates from a real start stay real, and for b2 < 0
-    the real-axis residual is bounded below:
-
-        g(x) = x + |b2| exp(-x tau) >= (1 + ln(-b2 tau)) / tau.
-
-    When that bound and 1 + ln(-b2 tau) (its size relative to round-off in
-    g) both exceed 1e-11, |g| never reaches Newton's 1e-12 tolerance, so
-    those starts could only fail. Below -b2 tau = 1/e real roots exist and
-    all twelve starts run. The roots found, their order and the result are
-    the same either way.
+    The three real-axis starts (frequency 0) run only when the target is
+    withheld or real. A certified complex target means -b2 tau > 1/e, where
+    the equation has no real root; Newton's iterates from a real start stay
+    real, so those starts could only fail.
     """
     if not 0 < tau < math.inf:
         raise ValidationError(f"rightmost_root needs a positive finite delay tau, got {tau!r}")
@@ -240,9 +233,7 @@ def rightmost_root(coeffs: TaylorCoefficients, tau: float) -> ComplexRoot:
         target = None
     alphas = (-2.0 * abs(b2), 0.0, abs(b2))
     omegas = (math.pi / (2 * tau), math.pi / tau, 2 * math.pi / tau)
-    gain = -b2 * tau
-    lift = 1.0 + math.log(gain) if gain > 0.0 else 0.0
-    if not (lift > 1e-11 and lift / tau > 1e-11):
+    if target is None or target.imag == 0.0:
         omegas = (0.0,) + omegas
     found: list[ComplexRoot] = []
     for a in alphas:

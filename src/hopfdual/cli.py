@@ -8,10 +8,11 @@ Five subcommands:
     predict   expansion-based cycle prediction at one delay
     verify    closed-form coefficients against the finite-difference oracle
 
-Exit codes: 0 on success, 2 for configuration and usage errors, 3 for
-numerical failures. On a nonzero exit a single-line JSON object
-{"error": {"type": ..., "message": ...}} is written to stderr; a report
-part that could not be computed holds the same object.
+Exit codes: 0 on success, 2 for configuration and usage errors (a file
+that cannot be read or written included), 3 for numerical failures. On a
+nonzero exit a single-line JSON object {"error": {"type": ..., "message":
+...}} is written to stderr; a report part that could not be computed holds
+the same object.
 
 A JSON report holds the library's result dataclasses as they are, and
 `_clean` turns each into an object keyed by its field names, so a new
@@ -140,11 +141,11 @@ def _print(report: dict, text_lines: list[str], cfg: RunConfig) -> None:
 
 def _emit(report: dict, text_lines: list[str], cfg: RunConfig,
           command: str, argv: list[str]) -> None:
-    """Print the report and write it to --out with its sidecar."""
-    _print(report, text_lines, cfg)
+    """Write the report to --out with its sidecar, then print it."""
     if cfg.out:
         _write_text(cfg.out, _dump_json(report))
         _write_sidecar(cfg.out, command, argv, cfg)
+    _print(report, text_lines, cfg)
 
 
 def cmd_analyze(cfg: RunConfig, argv: list[str]) -> int:
@@ -439,9 +440,13 @@ def main(argv: list[str] | None = None) -> int:
         command = overrides.pop("command")
         cfg = load_config(overrides.pop("config", None), overrides)
         return _DISPATCH[command](cfg, argv)
+    except OSError as exc:
+        # config reads raise ValidationError, so this is an output file
+        error: HopfDualError = ValidationError(f"cannot write output: {exc}")
     except HopfDualError as exc:
-        sys.stderr.write(json.dumps(_error(exc), sort_keys=True) + "\n")
-        return 2 if isinstance(exc, ValidationError) else 3
+        error = exc
+    sys.stderr.write(json.dumps(_error(error), sort_keys=True) + "\n")
+    return 2 if isinstance(error, ValidationError) else 3
 
 
 if __name__ == "__main__":

@@ -189,38 +189,42 @@ def parse_config_file(path: str) -> dict[str, dict]:
     resolved = resolve_config_path(path)
     sections: dict[str, dict] = {}
     current: str | None = None
-    with open(resolved, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#") or text.startswith(";"):
-                continue
-            if text.startswith("[") and text.endswith("]"):
-                current = text[1:-1].strip()
-                if current not in SETTINGS:
-                    raise ValidationError(
-                        f"{path}:{lineno}: unknown section [{current}]"
-                    )
-                sections.setdefault(current, {})
-                continue
-            if "=" not in text:
-                raise ValidationError(f"{path}:{lineno}: expected `key = value`")
-            if current is None:
+    try:
+        with open(resolved, "r", encoding="utf-8") as fh:
+            text_lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read config file {path}: {exc}") from None
+    for lineno, line in enumerate(text_lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#") or text.startswith(";"):
+            continue
+        if text.startswith("[") and text.endswith("]"):
+            current = text[1:-1].strip()
+            if current not in SETTINGS:
                 raise ValidationError(
-                    f"{path}:{lineno}: assignment before any [section] header"
+                    f"{path}:{lineno}: unknown section [{current}]"
                 )
-            key, _, raw = text.partition("=")
-            key = key.strip()
-            if key not in SETTINGS[current]:
-                raise ValidationError(
-                    f"{path}:{lineno}: unknown key {key!r} in section [{current}]"
-                )
-            if key in sections[current]:
-                raise ValidationError(
-                    f"{path}:{lineno}: duplicate key {key!r} in section [{current}]"
-                )
-            sections[current][key] = SETTINGS[current][key].read(
-                raw.strip(), f"[{current}] {key}"
+            sections.setdefault(current, {})
+            continue
+        if "=" not in text:
+            raise ValidationError(f"{path}:{lineno}: expected `key = value`")
+        if current is None:
+            raise ValidationError(
+                f"{path}:{lineno}: assignment before any [section] header"
             )
+        key, _, raw = text.partition("=")
+        key = key.strip()
+        if key not in SETTINGS[current]:
+            raise ValidationError(
+                f"{path}:{lineno}: unknown key {key!r} in section [{current}]"
+            )
+        if key in sections[current]:
+            raise ValidationError(
+                f"{path}:{lineno}: duplicate key {key!r} in section [{current}]"
+            )
+        sections[current][key] = SETTINGS[current][key].read(
+            raw.strip(), f"[{current}] {key}"
+        )
     return sections
 
 

@@ -118,11 +118,13 @@ def find_equilibrium(config: ModelConfig) -> Equilibrium:
 
     The bracket grows geometrically from p = 1, or from a point inside the
     demand domain when 1 lies outside it (doubling upward or halving
-    downward, at most 60 times) until x(p) - c changes sign.
-    Regula falsi then shrinks the bracket, with the Illinois rule (Dowell
-    and Jarratt, BIT 11, 1971) halving the stale end's value whenever the
-    same end survives twice, and bisection whenever the secant point would
-    not fall strictly inside. It stops when x(p) = c exactly or when the
+    downward, at most 60 times) until x(p) - c changes sign. A step that
+    would reach a domain edge goes halfway to it instead, and the walk stops
+    with DomainViolation once that midpoint rounds onto either end, so x is
+    never evaluated at the edge. Regula falsi then shrinks the bracket, with
+    the Illinois rule (Dowell and Jarratt, BIT 11, 1971) halving the stale
+    end's value whenever the same end survives twice, and bisection whenever
+    the secant point would not fall strictly inside. It stops when x(p) = c exactly or when the
     bracket is 4 ulp wide, so p* (the probe with the smallest |x(p) - c|)
     is the root to round-off. A short step does not stop it: regula falsi
     creeps by a few ulp while the far end's |x(p) - c| dwarfs the near
@@ -139,7 +141,7 @@ def find_equilibrium(config: ModelConfig) -> Equilibrium:
     NoBracket
         If 60 doublings find no sign change.
     DomainViolation
-        If a probe leaves the demand domain.
+        If the bracket walk reaches a demand domain edge.
     """
     demand = config.demand
     lo_dom, hi_dom = demand.lo, demand.hi
@@ -154,39 +156,29 @@ def find_equilibrium(config: ModelConfig) -> Equilibrium:
     if g0 == 0.0:
         return Equilibrium(p_star=p0, residual=0.0)
 
-    # x decreasing: g > 0 means the root lies above p0, g < 0 below it.
-    grow = g0 > 0
-    a, ga = p0, g0
-    b, gb = p0, g0
+    # x decreasing: g > 0 means the root lies above p0, so the far end
+    # doubles toward hi (s = +1); g < 0 means below, so it halves toward lo
+    # (s = -1). Multiplying by s mirrors every comparison exactly.
+    s, factor, edge = (1.0, 2.0, hi_dom) if g0 > 0 else (-1.0, 0.5, lo_dom)
+    near, gn = p0, g0
     for _ in range(60):
-        if grow:
-            nxt = b * 2.0
-            if nxt >= hi_dom:
-                nxt = 0.5 * (b + hi_dom)
-                if not nxt > b:
-                    raise DomainViolation(
-                        f"bracket expansion reached demand domain edge {hi_dom!r}"
-                    )
-            a, ga = b, gb
-            b, gb = nxt, g(nxt)
-            if gb <= 0:
-                break
-        else:
-            nxt = a * 0.5
-            if nxt <= lo_dom:
-                nxt = 0.5 * (a + lo_dom)
-                if not nxt < a:
-                    raise DomainViolation(
-                        f"bracket expansion reached demand domain edge {lo_dom!r}"
-                    )
-            b, gb = a, ga
-            a, ga = nxt, g(nxt)
-            if ga >= 0:
-                break
+        far = near * factor
+        if s * far >= s * edge:
+            far = 0.5 * (near + edge)
+            # the midpoint can round onto either end: stop before probing the edge
+            if not s * near < s * far < s * edge:
+                raise DomainViolation(
+                    f"bracket expansion reached demand domain edge {edge!r}"
+                )
+        gf = g(far)
+        if s * gf <= 0:
+            break
+        near, gn = far, gf
     else:
         raise NoBracket(
             f"no sign change of x(p) - c within 60 doublings from p = {p0!r}"
         )
+    (a, ga), (b, gb) = ((near, gn), (far, gf)) if s > 0 else ((far, gf), (near, gn))
 
     # invariant here: a < b with g(a) >= 0 >= g(b). fa and fb are the values
     # the secant uses: g at the ends, except that an end kept for a second
@@ -265,22 +257,19 @@ def numeric_taylor_oracle(config: ModelConfig, eq: Equilibrium) -> TaylorCoeffic
         room = min(room, demand.hi - p_star)
     if room <= 0:
         raise DomainViolation(f"equilibrium {p_star!r} at the demand domain edge")
+    # u probes never touch the demand curve but share the scale; order 3
+    # starts at s/2 because its stencil reaches 2h
     s = 0.25 * min(p_star, room)
-    # u probes never touch the demand curve, so u uses the same scale for
-    # symmetry; v probes are clamped by the domain via the s choice, and the
-    # widest univariate stencil reaches 2h
-    sv = s
-    su = s
 
-    b1 = numdiff.derivative(F_u, 0.0, 1, h0=su)
-    b3 = 0.5 * numdiff.derivative(F_u, 0.0, 2, h0=su)
-    b6 = numdiff.derivative(F_u, 0.0, 3, h0=su / 2) / 6.0
-    b2 = numdiff.derivative(F_v, 0.0, 1, h0=sv)
-    b5 = 0.5 * numdiff.derivative(F_v, 0.0, 2, h0=sv)
-    b9 = numdiff.derivative(F_v, 0.0, 3, h0=sv / 2) / 6.0
-    b4 = numdiff.mixed_partial(F, 1, 1, su, sv)
-    b7 = 0.5 * numdiff.mixed_partial(F, 2, 1, su, sv)
-    b8 = 0.5 * numdiff.mixed_partial(F, 1, 2, su, sv)
+    b1 = numdiff.derivative(F_u, 0.0, 1, h0=s)
+    b3 = 0.5 * numdiff.derivative(F_u, 0.0, 2, h0=s)
+    b6 = numdiff.derivative(F_u, 0.0, 3, h0=s / 2) / 6.0
+    b2 = numdiff.derivative(F_v, 0.0, 1, h0=s)
+    b5 = 0.5 * numdiff.derivative(F_v, 0.0, 2, h0=s)
+    b9 = numdiff.derivative(F_v, 0.0, 3, h0=s / 2) / 6.0
+    b4 = numdiff.mixed_partial(F, 1, 1, s, s)
+    b7 = 0.5 * numdiff.mixed_partial(F, 2, 1, s, s)
+    b8 = 0.5 * numdiff.mixed_partial(F, 1, 2, s, s)
     return TaylorCoefficients(
         b1=b1, b2=b2, b3=b3, b4=b4, b5=b5, b6=b6, b7=b7, b8=b8, b9=b9, p_star=p_star
     )

@@ -330,6 +330,18 @@ def test_rightmost_root_runs_every_start_at_tangency(monkeypatch):
     assert len(calls) == 12
 
 
+def test_rightmost_root_runs_real_starts_when_target_is_withheld(monkeypatch):
+    # just above the tangency no real root exists, but W0 is withheld there
+    # (|1 + w| < 0.1), so no certified complex target skips the real starts
+    coeffs = _coeffs_with_b2(-0.5)
+    tau = (1.0 + 1e-3) * _GAIN_AT_TANGENCY / 0.5
+    assert _principal_lambert_w(-0.5 * tau) is None
+    calls = _count_newton_runs(monkeypatch)
+    root = rightmost_root(coeffs, tau)
+    assert len(calls) == 12
+    assert root.im > 0.0
+
+
 def test_linear_analysis_from_full_pipeline():
     m = ModelConfig(k=0.02, c=10.0, tau=1.0, demand=Reciprocal(w=1.0))
     e = find_equilibrium(m)

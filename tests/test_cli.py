@@ -473,6 +473,30 @@ def test_config_file_errors(capsys, tmp_path):
     assert "not found" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--out", "missing-dir/x.json"], "cannot write output"),
+        (["sweep", "--tau-list", "3.2", "--t-end", "300", "--step", "0.02",
+          "--out", "missing-dir/d.csv"], "cannot write output"),
+        (["analyze", "--config", "a-directory"], "cannot read config file a-directory"),
+        (["analyze", "--config", "not-utf8.ini"], "cannot read config file not-utf8.ini"),
+    ],
+    ids=["analyze-out", "sweep-out", "config-directory", "config-not-utf8"],
+)
+def test_file_errors_exit_2_with_one_error_line(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a-directory").mkdir()
+    (tmp_path / "not-utf8.ini").write_bytes(b"\xff")
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    error = _one_error_line(err)
+    assert error["type"] == "ValidationError"
+    assert error["message"].startswith(message)
+    assert argv[-1] in error["message"]
+
+
 def test_config_seed_dir_fallback(capsys, tmp_path, monkeypatch):
     seed = tmp_path / "seeds"
     seed.mkdir()

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_model
@@ -421,6 +421,7 @@ def test_dense_output_matches_nodes(run_tau30):
     n=st.integers(2, 50),
     fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
 )
+@example(coeffs=[0.0, 0.0, 0.0, 2.225073858507e-311], step=0.5, n=2, fractions=[0.5])
 def test_dense_output_reproduces_cubics(coeffs, step, n, fractions):
     # Cubic Hermite interpolation is exact on cubics: nodes sampling
     # q and q' give back q between the nodes, up to round-off.
@@ -429,5 +430,8 @@ def test_dense_output_reproduces_cubics(coeffs, step, n, fractions):
     traj = Trajectory(step=step, values=q(t_nodes), derivs=q.deriv()(t_nodes))
     t = np.array(fractions) * traj.t_end
     reach = max(1.0, traj.t_end)
-    scale = sum(abs(a) * reach**i for i, a in enumerate(coeffs))
+    # round-off is relative to the cubic's size, but below the normal range
+    # floats keep no relative precision: there the size counts as the
+    # smallest normal float, or the tolerance underflows below one ulp
+    scale = max(sum(abs(a) * reach**i for i, a in enumerate(coeffs)), np.finfo(float).tiny)
     np.testing.assert_allclose(traj.at(t), q(t), rtol=0, atol=1e-13 * scale)

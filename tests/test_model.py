@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import C, K, reference_model
 from hopfdual import (
+    DomainViolation,
     ModelConfig,
     NoBracket,
     NumericWrapper,
@@ -62,6 +63,25 @@ def test_no_bracket_when_capacity_unreachable():
     )
     m = ModelConfig(k=K, c=C, tau=1.0, demand=bounded)
     with pytest.raises(NoBracket):
+        find_equilibrium(m)
+
+
+# Each walk heads for a domain edge it cannot cross (x - c keeps its sign up
+# to the edge) until the midpoint rounds onto the edge; the walk then stops
+# itself instead of evaluating x there.
+@pytest.mark.parametrize(
+    "func, lo, hi, c, edge",
+    [
+        (lambda p: 2.0 - p, 0.0, 1.0, 0.5, 1.0),  # walking up
+        (lambda p: 1.0 - p, 0.5, 4.0, 5.0, 0.5),  # walking down
+    ],
+)
+def test_bracket_walk_never_probes_a_domain_edge(func, lo, hi, c, edge):
+    demand = NumericWrapper(func=func, domain_lo=lo, domain_hi=hi, label="edge")
+    m = ModelConfig(k=K, c=c, tau=1.0, demand=demand)
+    with pytest.raises(
+        DomainViolation, match=f"^bracket expansion reached demand domain edge {edge!r}$"
+    ):
         find_equilibrium(m)
 
 
