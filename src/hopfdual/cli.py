@@ -6,7 +6,7 @@ Five subcommands:
     simulate  integrate one trajectory and measure the attractor
     sweep     bifurcation diagram rows over a list of delays
     predict   expansion-based cycle prediction at one delay
-    verify    closed-form coefficients against the finite-difference oracle
+    verify    closed-form coefficients against the Cauchy-integral oracle
 
 Exit codes: 0 on success, 2 for configuration and usage errors (a file
 that cannot be read or written included), 3 for numerical failures. On a

@@ -1,8 +1,10 @@
 """Rate-demand curves x(p): price in, sending rate out.
 
-A family provides three methods on an open price domain: `x`, the curve at
-one price; `rates`, the curve over a whole array of prices; and
-`derivatives`, the tuple (x'(p), x''(p), x'''(p)) at one price, which only
+A family provides four methods on an open price domain: `x`, the curve at
+one price; `rates`, the curve over a whole array of prices; `x_complex`,
+the curve's analytic continuation at an array of complex prices, which
+numdiff's Cauchy integrals sample; and `derivatives`, the tuple
+(x'(p), x''(p), x'''(p)) at one price, which only
 model.taylor_coefficients asks for. Demand must be positive and strictly
 decreasing wherever it is evaluated; the analysis modules rely on
 x'(p*) < 0.
@@ -17,12 +19,12 @@ from typing import Callable
 import numpy as np
 
 from . import numdiff
-from .errors import DomainViolation, ValidationError
+from .errors import DomainViolation, NumericalError, ValidationError
 
 
 @dataclass(frozen=True)
 class DemandFunction:
-    """Base demand curve. Subclasses implement x and derivatives.
+    """Base demand curve. Subclasses implement x, x_complex and derivatives.
 
     Attributes
     ----------
@@ -63,6 +65,11 @@ class DemandFunction:
         p = self._check_array(p)
         return np.array([self.x(v) for v in p.ravel().tolist()]).reshape(p.shape)
 
+    def x_complex(self, z):
+        """x continued to complex prices z (an array, not checked against
+        the domain): the points numdiff samples on circles around a price."""
+        raise NotImplementedError
+
     def derivatives(self, p: float) -> tuple[float, float, float]:
         """(x'(p), x''(p), x'''(p))."""
         raise NotImplementedError
@@ -85,6 +92,9 @@ class Reciprocal(DemandFunction):
 
     def rates(self, p) -> np.ndarray:
         return self.w / self._check_array(p)
+
+    def x_complex(self, z):
+        return self.w / z
 
     def derivatives(self, p: float) -> tuple[float, float, float]:
         self._check(p)
@@ -109,10 +119,16 @@ class PowerLaw(DemandFunction):
 
     def x(self, p: float) -> float:
         self._check(p)
-        return (self.w / p) ** (1.0 / self.alpha)
+        try:
+            return (self.w / p) ** (1.0 / self.alpha)
+        except OverflowError:
+            raise NumericalError(f"demand {self.name} overflows at price {p!r}") from None
 
     def rates(self, p) -> np.ndarray:
         return (self.w / self._check_array(p)) ** (1.0 / self.alpha)
+
+    def x_complex(self, z):
+        return (self.w / z) ** (1.0 / self.alpha)
 
     def derivatives(self, p: float) -> tuple[float, float, float]:
         b = 1.0 / self.alpha
@@ -122,13 +138,19 @@ class PowerLaw(DemandFunction):
 
 @dataclass(frozen=True)
 class NumericWrapper(DemandFunction):
-    """Wraps an arbitrary scalar demand callable on an explicit open domain.
+    """Wraps a demand callable on an explicit open domain of positive prices.
 
-    `derivatives` runs three Ridders-extrapolated central differences
-    (numdiff.derivative of orders 1, 2 and 3), so the wrapped function must
-    be smooth; accuracy is typically far better than the 1e-5 tolerance the
-    coefficient oracle asks for. They feed only model.taylor_coefficients:
-    the equilibrium solver and the coefficient oracle evaluate x alone.
+    Contract: `func` maps a float price to a float, and a complex numpy
+    array of prices to the array of its analytic continuation, because
+    `derivatives` and the coefficient oracle take Taylor coefficients from
+    Cauchy integrals on circles around a price (numdiff). A callable
+    written with numpy operations (`1 / p`, `np.exp(-p)`) does both; one
+    that accepts floats only (`math.exp`) raises ValidationError there. It
+    must be analytic on the disk around the price whose radius is a
+    quarter of the room to the nearer domain bound. `derivatives` picks one radius
+    per price (numdiff.radius) and calls numdiff.derivative of orders 1, 2
+    and 3 on it; they feed only model.taylor_coefficients. The equilibrium
+    solver evaluates x alone.
     """
 
     func: Callable[[float], float] = None  # type: ignore[assignment]
@@ -139,6 +161,10 @@ class NumericWrapper(DemandFunction):
     def __post_init__(self):
         if self.func is None:
             raise ValidationError("NumericWrapper requires a demand callable")
+        if not self.domain_lo >= 0.0:
+            raise ValidationError(
+                f"demand domain must hold positive prices, got domain_lo {self.domain_lo!r}"
+            )
         if not self.domain_lo < self.domain_hi:
             raise ValidationError(
                 f"empty demand domain ({self.domain_lo!r}, {self.domain_hi!r})"
@@ -149,12 +175,19 @@ class NumericWrapper(DemandFunction):
 
     def x(self, p: float) -> float:
         self._check(p)
-        return self.func(p)
+        try:
+            return self.func(p)
+        except OverflowError:
+            raise NumericalError(f"demand {self.name} overflows at price {p!r}") from None
+
+    def x_complex(self, z):
+        return self.func(z)
 
     def derivatives(self, p: float) -> tuple[float, float, float]:
         self._check(p)
-        hi = self.hi if math.isfinite(self.hi) else None
-        return tuple(numdiff.derivative(self.func, p, n, lo=self.lo, hi=hi) for n in (1, 2, 3))
+        f = self.x_complex  # one bound method, so numdiff samples the circle once
+        r = numdiff.radius(f, p, self.lo, self.hi)
+        return tuple(numdiff.derivative(f, p, n, r, self.lo, self.hi) for n in (1, 2, 3))
 
 
 FAMILIES = {"reciprocal", "powerlaw"}

@@ -21,7 +21,7 @@ forms
 A direct Taylor expansion of F(u, v) = k*(u+p*)*(x(v+p*) - c) yields a uv
 coefficient of k*x' (twice the canonical b4) and a uv^2 coefficient of
 k*x''/2 (three times the canonical b8). numeric_taylor_oracle computes those
-direct monomial coefficients by finite differences; the verify report
+direct monomial coefficients from Cauchy integrals; the verify report
 surfaces the two conventions side by side. The paper's expansion
 (hopf.hopf_expansion) is written in the canonical forms; the corrected one
 (hopf.normal_form) uses the raw 2*b4 and 3*b8.
@@ -230,43 +230,40 @@ def taylor_coefficients(config: ModelConfig, eq: Equilibrium) -> TaylorCoefficie
 
 
 def numeric_taylor_oracle(config: ModelConfig, eq: Equilibrium) -> TaylorCoefficients:
-    """Direct Taylor monomial coefficients of F(u, v) by finite differences.
+    """Direct Taylor monomial coefficients of F(u, v) from Cauchy integrals.
 
     F(u, v) = k*(u + p*)*(x(v + p*) - c); the returned b_i are the exact
     coefficients of u^i v^j in its expansion at the origin (b4 is the uv
-    coefficient, b8 the uv^2 coefficient, etc.). Reporting-only: the verify
-    command compares these against the canonical closed forms.
+    coefficient, b8 the uv^2 coefficient, etc.). F is evaluated through
+    demand.x_complex on a circle in u, a circle in v (numdiff.derivative)
+    and a torus (numdiff.mixed_partial), each sampled once for its three
+    orders, all of the one radius that numdiff.radius picks from the demand
+    curve around p*. Reporting-only: the verify command compares these
+    against the canonical closed forms.
     """
     p_star = eq.p_star
     k = config.k
     c = config.c
     demand = config.demand
 
-    def F(u: float, v: float) -> float:
-        return k * (u + p_star) * (demand.x(v + p_star) - c)
+    def F(u, v):
+        return k * (u + p_star) * (demand.x_complex(v + p_star) - c)
 
-    def F_u(u: float) -> float:
+    def F_u(u):
         return F(u, 0.0)
 
-    def F_v(v: float) -> float:
+    def F_v(v):
         return F(0.0, v)
 
-    # probe scale: stay well inside the demand domain around p*
-    room = p_star - demand.lo
-    if math.isfinite(demand.hi):
-        room = min(room, demand.hi - p_star)
-    if room <= 0:
-        raise DomainViolation(f"equilibrium {p_star!r} at the demand domain edge")
-    # u probes never touch the demand curve but share the scale; order 3
-    # starts at s/2 because its stencil reaches 2h
-    s = 0.25 * min(p_star, room)
+    # u probes never touch the demand curve but share its radius
+    s = numdiff.radius(demand.x_complex, p_star, demand.lo, demand.hi)
 
     b1 = numdiff.derivative(F_u, 0.0, 1, h0=s)
     b3 = 0.5 * numdiff.derivative(F_u, 0.0, 2, h0=s)
-    b6 = numdiff.derivative(F_u, 0.0, 3, h0=s / 2) / 6.0
+    b6 = numdiff.derivative(F_u, 0.0, 3, h0=s) / 6.0
     b2 = numdiff.derivative(F_v, 0.0, 1, h0=s)
     b5 = 0.5 * numdiff.derivative(F_v, 0.0, 2, h0=s)
-    b9 = numdiff.derivative(F_v, 0.0, 3, h0=s / 2) / 6.0
+    b9 = numdiff.derivative(F_v, 0.0, 3, h0=s) / 6.0
     b4 = numdiff.mixed_partial(F, 1, 1, s, s)
     b7 = 0.5 * numdiff.mixed_partial(F, 2, 1, s, s)
     b8 = 0.5 * numdiff.mixed_partial(F, 1, 2, s, s)

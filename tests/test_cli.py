@@ -24,6 +24,7 @@ from hopfdual import (
     LinearAnalysis,
     ModelConfig,
     NumericWrapper,
+    PowerLaw,
     PredictionErrors,
     Q1Harmonics,
     TaylorCoefficients,
@@ -575,3 +576,36 @@ def test_verify_library_entry_on_linear_demand():
         closed = next(r for r in rows if r["name"] == name)["closed_form"]
         assert closed == 0.0
     assert all(row["status"] != "mismatch" for row in rows)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.03, 0.05, 0.1, 0.5, 3.0])
+def test_verify_steep_power_law_demand(alpha):
+    # x ~ p^-100 at alpha = 0.01: the oracle's circle must shrink with the
+    # steepness, or aliasing gives b2 and b4 the wrong sign
+    def curve(p):
+        return (1.0 / p) ** (1.0 / alpha)
+
+    for demand in (PowerLaw(w=1.0, alpha=alpha), NumericWrapper(func=curve, label="steep")):
+        rows = verify_coefficients(ModelConfig(k=0.01, c=50.0, tau=0.0, demand=demand))
+        assert [r["name"] for r in rows if r["status"] == "mismatch"] == [], demand.name
+
+
+def test_verify_steep_power_law_config_exits_0(capsys, tmp_path):
+    cfg = tmp_path / "steep.ini"
+    cfg.write_text("[model]\ndemand = powerlaw\nalpha = 0.05\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = _run_json(capsys, ["verify", "--config", str(cfg), "--json"])
+    assert report["ok"] is True
+
+
+def test_demand_overflow_exits_3_with_one_error_line(capsys, tmp_path):
+    # (1000 / p)^200 at the solver's first probe p = 1 is past the float range
+    cfg = tmp_path / "overflow.ini"
+    cfg.write_text("[model]\ndemand = powerlaw\nw = 1000\nalpha = 0.005\n", encoding="utf-8")
+    rc, out, err = _run(capsys, ["analyze", "--config", str(cfg)])
+    assert rc == 3 and out == ""
+    assert _one_error_line(err) == {
+        "type": "NumericalError",
+        "message": "demand powerlaw(w=1000, alpha=0.005) overflows at price 1.0",
+    }

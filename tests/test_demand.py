@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hopfdual import (
     DomainViolation,
+    NumericalError,
     NumericWrapper,
     PowerLaw,
     Reciprocal,
@@ -41,7 +42,7 @@ def test_powerlaw_derivatives_match_finite_differences():
     d = PowerLaw(w=1.3, alpha=2.5)
     for p in (0.3, 1.1):
         for order, exact in enumerate(d.derivatives(p), start=1):
-            approx = derivative(d.x, p, order, lo=0.0)
+            approx = derivative(d.x_complex, p, order, lo=0.0)
             assert approx == pytest.approx(exact, rel=1e-6), (p, order)
 
 
@@ -64,8 +65,9 @@ def test_numeric_wrapper_matches_analytic_reciprocal():
 
 @pytest.mark.parametrize("domain_hi, hi", [(math.inf, None), (0.04, 0.04)])
 def test_numeric_wrapper_derivatives_are_ridders_derivatives(domain_hi, hi):
-    """derivatives(p) is numdiff.derivative of orders 1, 2, 3, bit for bit;
-    an infinite upper bound reaches numdiff as no bound."""
+    """derivatives(p) is numdiff.derivative of orders 1, 2, 3 at the radius
+    numdiff.radius picks, bit for bit; this curve keeps the default radius,
+    and an infinite upper bound acts as no bound."""
 
     def func(p):
         return (2.0 / p) ** 0.7
@@ -74,6 +76,36 @@ def test_numeric_wrapper_derivatives_are_ridders_derivatives(domain_hi, hi):
     p = 0.021
     expected = tuple(derivative(func, p, n, lo=0.0, hi=hi) for n in (1, 2, 3))
     assert wrap.derivatives(p) == expected
+
+
+def test_numeric_wrapper_refuses_negative_prices():
+    for lo in (-0.354, -math.inf, math.nan):
+        with pytest.raises(ValidationError, match="positive prices"):
+            NumericWrapper(func=lambda p: 1.0 / p, domain_lo=lo, domain_hi=1.0)
+
+
+def test_overflowing_demand_raises_numerical_error():
+    with pytest.raises(NumericalError, match=r"overflows at price 1\.0"):
+        PowerLaw(w=1000.0, alpha=0.005).x(1.0)
+    wrap = NumericWrapper(func=lambda p: math.exp(1000.0 / p), label="exp")
+    with pytest.raises(NumericalError, match=r"^demand exp overflows at price 0\.5$"):
+        wrap.x(0.5)
+
+
+@pytest.mark.parametrize("name", ["reciprocal", "powerlaw", "numeric"])
+def test_x_complex_continues_x(name):
+    d = RATE_CURVES[name]
+    p = np.array([0.3, 0.9, 1.2])
+    assert np.allclose(d.x_complex(p + 0j), d.rates(p), rtol=1e-15, atol=0.0)
+    z = np.array([0.5 + 0.1j, 1.1 - 0.2j])
+    assert np.allclose(d.x_complex(z.conj()), d.x_complex(z).conj(), rtol=1e-15, atol=0.0)
+
+
+def test_numeric_wrapper_needs_a_complex_array_callable():
+    wrap = NumericWrapper(func=lambda p: math.exp(-p), label="scalar only")
+    assert wrap.x(1.0) == math.exp(-1.0)
+    with pytest.raises(ValidationError, match="accepts complex numpy arrays"):
+        wrap.derivatives(1.0)
 
 
 def test_domain_violations():

@@ -1,149 +1,161 @@
-"""Ridders extrapolation and the derivative stencils built on it.
-
-`ridders` keeps two columns of the Neville tableau; `full_tableau_ridders`
-below is the textbook version that fills the whole 12x12 table. Both must
-return the same (value, error) pair bit for bit, so every case here compares
-`repr`s, which tell -0.0, nan and inf apart.
-"""
+"""Cauchy-integral derivatives: closed forms, exact zeros, the radius guard,
+the sample reuse and the errors."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from hopfdual import numdiff
-from hopfdual.numdiff import derivative, mixed_partial, ridders
+from hopfdual.errors import DomainViolation, NumericalError, ValidationError
+from hopfdual.numdiff import derivative, mixed_partial, radius
 
 
-def full_tableau_ridders(sample, h0):
-    """Ridders' method over the full tableau, as numdiff implemented it first."""
-    con, ntab, safe = 1.4, 12, 2.0
-    con2 = con * con
-    tableau = [[0.0] * ntab for _ in range(ntab)]
-    hh = h0
-    tableau[0][0] = sample(hh)
-    best = tableau[0][0]
-    err = math.inf
-    for i in range(1, ntab):
-        hh /= con
-        tableau[0][i] = sample(hh)
-        fac = con2
-        for j in range(1, i + 1):
-            tableau[j][i] = (tableau[j - 1][i] * fac - tableau[j - 1][i - 1]) / (fac - 1.0)
-            fac *= con2
-            errt = max(
-                abs(tableau[j][i] - tableau[j - 1][i]),
-                abs(tableau[j][i] - tableau[j - 1][i - 1]),
-            )
-            if errt <= err:
-                err = errt
-                best = tableau[j][i]
-        if abs(tableau[i][i] - tableau[i - 1][i - 1]) >= safe * err:
-            break
-    return best, err
+def _power(a):
+    """(2/p)^a and its derivatives of orders 1 to 3 at p."""
+    def f(p):
+        return (2.0 / p) ** a
+
+    def exact(p, n):
+        return f(p) * [-a / p, a * (a + 1) / p**2, -a * (a + 1) * (a + 2) / p**3][n - 1]
+
+    return f, exact
 
 
-def _counted(sample):
-    steps = []
-
-    def wrapped(h):
-        steps.append(h)
-        return sample(h)
-
-    return wrapped, steps
-
-
-def _assert_same(sample, h0):
-    """Both implementations agree bit for bit and probe the same steps."""
-    mine, my_steps = _counted(sample)
-    ref, ref_steps = _counted(sample)
-    assert repr(ridders(mine, h0)) == repr(full_tableau_ridders(ref, h0))
-    assert my_steps == ref_steps
-    return len(my_steps)
-
-
-SMOOTH = {
-    "sinh": (lambda h: math.sinh(h) / h, 0.5),
-    "cosh_second": (lambda h: (math.exp(h) - 2.0 + math.exp(-h)) / (h * h), 0.5),
-    "even_poly": (lambda h: 1.0 + h * h, 1.0),
-    "cos": (math.cos, 2.0),
-    "sqrt": (lambda h: math.sqrt(1.0 + h), 1.0),
-    "log1p": (lambda h: math.log1p(h) / h, 0.9),
-    "kink": (abs, 1.0),
-    "constant": (lambda h: 3.0, 1.0),
+CLOSED_FORMS = {
+    # name: (f, exact n-th derivative at x, radius); exp is entire, so a
+    # radius of 1 suits it better than the default quarter of x
+    "exp": (np.exp, lambda x, n: math.exp(x), 1.0),
+    "reciprocal": (
+        lambda p: 1.0 / p, lambda x, n: (-1) ** n * math.factorial(n) / x ** (n + 1), None
+    ),
+    "powerlaw": (*_power(0.4), None),
 }
 
 
-@pytest.mark.parametrize("name", sorted(SMOOTH))
-def test_ridders_matches_full_tableau(name):
-    sample, h0 = SMOOTH[name]
-    _assert_same(sample, h0)
-
-
-def test_ridders_safe_stop_and_full_run():
-    # the _SAFE rule stops once the diagonal grows against the error ...
-    assert _assert_same(lambda h: 1.0 + h * h + 1e-9 * math.sin(1e3 / h), 1.0) < 12
-    assert _assert_same(SMOOTH["cos"][0], 2.0) < 12
-    # ... and a sample that keeps improving uses all twelve steps
-    assert _assert_same(SMOOTH["sinh"][0], 0.5) == 12
-
-
-@pytest.mark.parametrize(
-    "bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
-)
-def test_ridders_non_finite_small_steps(bad):
-    # finite for large steps, non-finite once h falls below the cut; with the
-    # cut at 0.9 only the first step is finite, so the first error estimate
-    # meets an infinite err (where max(nan, inf) returning nan matters)
-    for cut in (0.1, 0.9):
-        _assert_same(lambda h: math.sin(h) / h if h > cut else bad, 1.0)
-    # non-finite from the first step on
-    _assert_same(lambda h: bad, 1.0)
-
-
-@given(
-    c0=st.floats(-1e3, 1e3),
-    c2=st.floats(-1e3, 1e3),
-    rate=st.floats(0.01, 20.0),
-    h0=st.floats(1e-3, 3.0),
-)
-def test_ridders_matches_full_tableau_property(c0, c2, rate, h0):
-    _assert_same(lambda h: c0 + c2 * math.expm1(rate * h * h), h0)
-
-
-@pytest.fixture
-def checked_ridders(monkeypatch):
-    """Route numdiff's own calls through both implementations and compare."""
-    calls = []
-
-    def both(sample, h0):
-        got = ridders(sample, h0)
-        assert repr(got) == repr(full_tableau_ridders(sample, h0))
-        calls.append(got)
-        return got
-
-    monkeypatch.setattr(numdiff, "ridders", both)
-    return calls
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_derivatives_match_closed_forms(name):
+    f, exact, h0 = CLOSED_FORMS[name]
+    for x in (0.02, 0.3, 1.0, 2.5, 40.0):
+        for order in (1, 2, 3):
+            want = exact(x, order)
+            assert abs(derivative(f, x, order, h0) - want) <= 1e-13 * abs(want), (x, order)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("bounds", [(None, None), (0.0, None), (None, 1.3), (0.0, 1.3)])
-def test_derivative_orders_match_full_tableau(checked_ridders, order, bounds):
-    lo, hi = bounds
-    value = derivative(lambda p: (2.0 / p) ** 0.7, 0.9, order, lo=lo, hi=hi)
-    assert len(checked_ridders) == 1
-    assert repr(value) == repr(checked_ridders[0][0])
+def test_derivative_orders_match_closed_forms(order, bounds):
+    # an upper bound at 1.3 cuts the radius from 0.225 to 0.1, which raises
+    # the round-off of order 3, a few eps of |f| / (|f'''| r^3 / 6), to 1e-13
+    f, exact = _power(0.7)
+    got = derivative(f, 0.9, order, lo=bounds[0], hi=bounds[1])
+    assert abs(got - exact(0.9, order)) <= 1e-12 * abs(exact(0.9, order))
+
+
+def _mixed_exact(i, j, a=0.3, b=-0.7):
+    """d^i/du^i d^j/dv^j of exp(a u + b v) / (1 + u + v/2) at the origin (Leibniz)."""
+    return sum(
+        math.comb(i, p) * math.comb(j, q) * a ** (i - p) * b ** (j - q)
+        * (-1) ** (p + q) * math.factorial(p + q) * 0.5**q
+        for p in range(i + 1) for q in range(j + 1)
+    )
 
 
 @pytest.mark.parametrize("orders", [(1, 1), (2, 1), (1, 2)])
-def test_mixed_partial_orders_match_full_tableau(checked_ridders, orders):
+def test_mixed_partial_orders_match_closed_forms(orders):
     def f(u, v):
-        return math.exp(0.3 * u - 0.7 * v) / (1.0 + u + 0.5 * v)
+        return np.exp(0.3 * u - 0.7 * v) / (1.0 + u + 0.5 * v)
 
-    value = mixed_partial(f, *orders, 0.05, 0.08)
-    assert len(checked_ridders) == 1
-    assert repr(value) == repr(checked_ridders[0][0])
+    # the u circle has 8 points, so its radius stays small for a curved u
+    got = mixed_partial(f, *orders, 0.02, 0.1)
+    assert abs(got - _mixed_exact(*orders)) <= 1e-12 * abs(_mixed_exact(*orders))
+
+
+def test_mixed_partial_of_a_function_linear_in_u():
+    # the model's F is linear in u, where 8 points on the u circle are exact
+    def f(u, v):
+        return (u + 0.7) * (np.exp(-v) - 0.4)
+
+    assert mixed_partial(f, 1, 1, 0.25, 0.25) == pytest.approx(-1.0, rel=1e-14)
+    assert mixed_partial(f, 1, 2, 0.25, 0.25) == pytest.approx(1.0, rel=1e-14)
+    assert mixed_partial(f, 2, 1, 0.25, 0.25) == 0.0
+
+
+@pytest.mark.parametrize("x", [0.02, 0.7, 30.0])
+def test_polynomials_below_the_order_give_exact_zeros(x):
+    line = lambda p: 100.0 - 2500.0 * p  # noqa: E731
+    parabola = lambda p: 3.0 - p * p  # noqa: E731
+    assert derivative(line, x, 2) == 0.0
+    assert derivative(line, x, 3) == 0.0
+    assert derivative(parabola, x, 3) == 0.0
+    assert derivative(lambda p: 7.5 + 0.0 * p, x, 1) == 0.0
+    # the order that is not zero stays, to its round-off of about eps |f| / r^2
+    assert derivative(parabola, x, 2) == pytest.approx(-2.0, rel=1e-9)
+
+    def bilinear(u, v):
+        return (u + x) * (2.0 - 3.0 * v)
+
+    assert mixed_partial(bilinear, 1, 2, 0.1, 0.1) == 0.0
+    assert mixed_partial(bilinear, 2, 1, 0.1, 0.1) == 0.0
+    assert mixed_partial(bilinear, 1, 1, 0.1, 0.1) == pytest.approx(-3.0, rel=1e-14)
+
+
+def test_radius_guard_shrinks_the_circle_for_steep_functions():
+    b = 100.0
+    f, exact = _power(b)
+    r = radius(f, 1.0)
+    # a quarter of 1, halved four times: max|f| / min|f| on the circle is
+    # ((1 + r)/(1 - r))^100, about 520 at r = 1/32 and 23 at r = 1/64
+    assert r == 0.25 / 16
+    for order in (1, 2, 3):
+        want = exact(1.0, order)
+        assert abs(derivative(f, 1.0, order, r) - want) <= 1e-13 * abs(want)
+        # on the default circle aliasing swamps the result
+        assert abs(derivative(f, 1.0, order) - want) > abs(want)
+    # a gentle function keeps the default radius, cut to a quarter of the room
+    assert radius(lambda p: 1.0 / p, 0.9) == 0.225
+    assert radius(lambda p: 1.0 / p, 0.9, lo=0.0, hi=1.3) == 0.1
+
+
+def test_radius_shrinks_past_overflow_without_numpy_warnings():
+    def f(p):
+        return np.exp(200.0 / p)  # overflows on the default circle around 1
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = radius(f, 1.0)
+        assert r < 0.25
+        assert derivative(f, 1.0, 1, r) == pytest.approx(-200.0 * math.exp(200.0), rel=1e-12)
+        with pytest.raises(NumericalError, match="factor 100"):
+            radius(lambda p: np.exp(2000.0 / p), 1.0)
+        with pytest.raises(NumericalError, match="not finite"):
+            derivative(lambda p: np.exp(2000.0 / p), 1.0, 1)
+        with pytest.raises(NumericalError, match="not finite"):
+            mixed_partial(lambda u, v: np.full(np.broadcast(u, v).shape, np.nan), 1, 1, 0.1, 0.1)
+
+
+def test_orders_at_one_point_sample_once():
+    calls = []
+
+    def f(p):
+        calls.append(p.shape)
+        return 1.0 / p
+
+    r = radius(f, 0.5)
+    values = [derivative(f, 0.5, n, r) for n in (1, 2, 3)]
+    assert calls == [(32,)]
+    assert values == [derivative(lambda p: 1.0 / p, 0.5, n, r) for n in (1, 2, 3)]
+    derivative(f, 0.5, 1, r / 2)  # another circle samples again
+    derivative(f, 0.6, 1, r / 2)
+    assert len(calls) == 3
+
+    def g(u, v):
+        calls.append(np.broadcast(u, v).shape)
+        return (u + 1.0) / (2.0 + v)
+
+    for orders in ((1, 1), (2, 1), (1, 2)):
+        mixed_partial(g, *orders, 0.1, 0.2)
+    assert calls[3:] == [(8, 32)]
 
 
 def test_unsupported_orders_raise():
@@ -151,3 +163,21 @@ def test_unsupported_orders_raise():
         derivative(math.sin, 0.3, order=4)
     with pytest.raises(ValueError, match=r"unsupported mixed orders \(2, 2\)"):
         mixed_partial(lambda u, v: u * v, 2, 2, 0.1, 0.1)
+
+
+@pytest.mark.parametrize("x, lo, hi", [(0.0, 0.0, None), (-1.0, 0.0, 2.0), (2.0, None, 2.0),
+                                       (math.nan, 0.0, None)])
+def test_points_outside_the_domain_raise(x, lo, hi):
+    with pytest.raises(DomainViolation, match="outside domain"):
+        derivative(lambda p: 1.0 / p, x, 1, lo=lo, hi=hi)
+    with pytest.raises(DomainViolation, match="outside domain"):
+        radius(lambda p: 1.0 / p, x, lo, hi)
+
+
+def test_scalar_only_callable_names_the_complex_array_contract():
+    with pytest.raises(ValidationError, match="accepts complex numpy arrays"):
+        derivative(lambda p: math.exp(-p), 1.0, 1)
+    with pytest.raises(ValidationError, match="accepts complex numpy arrays"):
+        radius(lambda p: float(p), 1.0)
+    with pytest.raises(ValidationError, match="accepts complex numpy arrays"):
+        mixed_partial(lambda u, v: math.exp(u) * v, 1, 1, 0.1, 0.1)
