@@ -1,4 +1,5 @@
-"""Cauchy-integral derivatives: closed forms, exact zeros, the radius guard,
+"""Cauchy-integral derivatives: closed forms, the full FFT table of the same
+samples, exact zeros, the radius guard, non-finite samples,
 the sample reuse and the errors."""
 
 import math
@@ -42,13 +43,43 @@ def test_derivatives_match_closed_forms(name):
             assert abs(derivative(f, x, order, h0) - want) <= 1e-13 * abs(want), (x, order)
 
 
+def _recorded(f):
+    """f, and the list of (points, values) of its calls."""
+    calls = []
+
+    def wrapped(*points):
+        values = f(*points)
+        calls.append((points, np.broadcast_to(values, np.broadcast(*points).shape)))
+        return values
+
+    return wrapped, calls
+
+
+def _full_tableau(values, scale):
+    """Every Taylor coefficient the samples on a circle (or torus) hold,
+    from a full FFT of them: entry n is the order-n coefficient times r^n;
+    with the round-off bound of one entry, times scale."""
+    table = np.fft.fftn(values) / values.size
+    return table, 8 * np.finfo(float).eps * np.abs(table).sum() * scale
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("bounds", [(None, None), (0.0, None), (None, 1.3), (0.0, 1.3)])
-def test_derivative_orders_match_closed_forms(order, bounds):
-    # an upper bound at 1.3 cuts the radius from 0.225 to 0.1, which raises
-    # the round-off of order 3, a few eps of |f| / (|f'''| r^3 / 6), to 1e-13
+def test_derivative_orders_match_full_tableau(order, bounds):
+    # one twiddle row against the full coefficient table of the same 32
+    # samples, and both against the closed form; an upper bound at 1.3 cuts
+    # the radius from 0.225 to 0.1, which raises the round-off of order 3,
+    # a few eps of |f| / (|f'''| r^3 / 6), to 1e-13
     f, exact = _power(0.7)
+    f, calls = _recorded(f)
     got = derivative(f, 0.9, order, lo=bounds[0], hi=bounds[1])
+    assert len(calls) == 1
+    (points,), values = calls[0]
+    r = 0.225 if bounds[1] is None else 0.1
+    assert abs(points[0] - (0.9 + r)) < 1e-15
+    scale = math.factorial(order) / r**order
+    table, roundoff = _full_tableau(values, scale)
+    assert abs(got - scale * table[order].real) <= roundoff
     assert abs(got - exact(0.9, order)) <= 1e-12 * abs(exact(0.9, order))
 
 
@@ -62,12 +93,23 @@ def _mixed_exact(i, j, a=0.3, b=-0.7):
 
 
 @pytest.mark.parametrize("orders", [(1, 1), (2, 1), (1, 2)])
-def test_mixed_partial_orders_match_closed_forms(orders):
+def test_mixed_partial_orders_match_full_tableau(orders):
     def f(u, v):
         return np.exp(0.3 * u - 0.7 * v) / (1.0 + u + 0.5 * v)
 
+    f, calls = _recorded(f)
     # the u circle has 8 points, so its radius stays small for a curved u
-    got = mixed_partial(f, *orders, 0.02, 0.1)
+    su, sv = 0.02, 0.1
+    got = mixed_partial(f, *orders, su, sv)
+    assert len(calls) == 1
+    (u, v), values = calls[0]
+    assert values.shape == (8, 32)
+    assert abs(u[2, 0] - su * 1j) < 1e-17 and abs(v[8] - sv * 1j) < 1e-17
+    # entry (i, j) of the torus's table is the coefficient of u^i v^j times su^i sv^j
+    i, j = orders
+    scale = math.factorial(i) * math.factorial(j) / (su**i * sv**j)
+    table, roundoff = _full_tableau(values, scale)
+    assert abs(got - scale * table[i, j].real) <= roundoff
     assert abs(got - _mixed_exact(*orders)) <= 1e-12 * abs(_mixed_exact(*orders))
 
 
@@ -132,6 +174,53 @@ def test_radius_shrinks_past_overflow_without_numpy_warnings():
             derivative(lambda p: np.exp(2000.0 / p), 1.0, 1)
         with pytest.raises(NumericalError, match="not finite"):
             mixed_partial(lambda u, v: np.full(np.broadcast(u, v).shape, np.nan), 1, 1, 0.1, 0.1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_ridders_non_finite_small_steps(bad):
+    # named after the Ridders test of samples that turn non-finite below a
+    # step; here it is the circle: finite on wide circles, bad below a radius
+    def narrow_bad(p):
+        return np.where(np.abs(p - 1.0) < 0.1, bad, 1.0 / p)
+
+    def wide_bad(p):
+        return np.where(np.abs(p - 1.0) > 0.1, bad, 1.0 / p)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert radius(narrow_bad, 1.0) == 0.25
+        assert derivative(narrow_bad, 1.0, 2) == pytest.approx(2.0, rel=1e-13)
+        with pytest.raises(NumericalError, match="not finite"):
+            derivative(narrow_bad, 1.0, 1, 0.05)
+        # bad on wide circles only: the guard halves past them
+        r = radius(wide_bad, 1.0)
+        assert r == 0.0625
+        assert derivative(wide_bad, 1.0, 3, r) == pytest.approx(-6.0, rel=1e-13)
+        with pytest.raises(NumericalError, match="not finite"):
+            derivative(wide_bad, 1.0, 1)
+        # bad from the widest circle to the narrowest
+        with pytest.raises(NumericalError, match="factor 100"):
+            radius(lambda p: np.full(p.shape, bad), 1.0)
+        with pytest.raises(NumericalError, match="not finite"):
+            mixed_partial(lambda u, v: np.full(np.broadcast(u, v).shape, bad), 1, 1, 0.1, 0.1)
+
+
+def test_ridders_safe_stop_and_full_run():
+    # named after the Ridders test of its early stop and its full run of
+    # twelve steps; the radius guard stops at the first circle that passes
+    # and gives up after a full run of 30 halvings
+    def radii(f):
+        f, calls = _recorded(f)
+        try:
+            radius(f, 1.0)
+        except NumericalError:
+            pass
+        return [abs(points[0] - 1.0) for (points,), _ in calls]
+
+    assert radii(lambda p: 1.0 / p) == [0.25]
+    assert radii(_power(100.0)[0]) == [0.25 / 2**k for k in range(5)]
+    full = radii(lambda p: np.exp(2000.0 / p))
+    assert full == pytest.approx([0.25 / 2**k for k in range(30)], rel=1e-12)
 
 
 def test_orders_at_one_point_sample_once():
