@@ -1,9 +1,10 @@
 """Rate-demand curves x(p): price in, sending rate out.
 
-A family provides four methods on an open price domain: `x`, the curve at
-one price; `rates`, the curve over a whole array of prices; `x_complex`,
-the curve's analytic continuation at an array of complex prices, which
-numdiff's Cauchy integrals sample; and `derivatives`, the tuple
+A family provides three methods on an open price domain: `x`, the curve
+at one price; `x_complex`, the curve over a whole numpy array of prices,
+real ones (the integrator's, through `rates`, which checks them against
+the domain first) or complex ones (the analytic continuation that
+numdiff's Cauchy integrals sample); and `derivatives`, the tuple
 (x'(p), x''(p), x'''(p)) at one price, which only
 model.taylor_coefficients asks for. Demand must be positive and strictly
 decreasing wherever it is evaluated; the analysis modules rely on
@@ -63,11 +64,15 @@ class DemandFunction:
         """x at every price of an array, same shape; the whole array is
         checked against the domain before any evaluation."""
         p = self._check_array(p)
-        return np.array([self.x(v) for v in p.ravel().tolist()]).reshape(p.shape)
+        try:
+            return self.x_complex(p)
+        except (TypeError, ValueError) as exc:
+            raise numdiff.array_contract_error(exc) from exc
 
     def x_complex(self, z):
-        """x continued to complex prices z (an array, not checked against
-        the domain): the points numdiff samples on circles around a price."""
+        """x at every point of a numpy array z, real or complex, not checked
+        against the domain; on complex points, the curve's analytic
+        continuation, which numdiff samples on circles around a price."""
         raise NotImplementedError
 
     def derivatives(self, p: float) -> tuple[float, float, float]:
@@ -89,9 +94,6 @@ class Reciprocal(DemandFunction):
     def x(self, p: float) -> float:
         self._check(p)
         return self.w / p
-
-    def rates(self, p) -> np.ndarray:
-        return self.w / self._check_array(p)
 
     def x_complex(self, z):
         return self.w / z
@@ -124,9 +126,6 @@ class PowerLaw(DemandFunction):
         except OverflowError:
             raise NumericalError(f"demand {self.name} overflows at price {p!r}") from None
 
-    def rates(self, p) -> np.ndarray:
-        return (self.w / self._check_array(p)) ** (1.0 / self.alpha)
-
     def x_complex(self, z):
         return (self.w / z) ** (1.0 / self.alpha)
 
@@ -140,17 +139,19 @@ class PowerLaw(DemandFunction):
 class NumericWrapper(DemandFunction):
     """Wraps a demand callable on an explicit open domain of positive prices.
 
-    Contract: `func` maps a float price to a float, and a complex numpy
-    array of prices to the array of its analytic continuation, because
-    `derivatives` and the coefficient oracle take Taylor coefficients from
-    Cauchy integrals on circles around a price (numdiff). A callable
-    written with numpy operations (`1 / p`, `np.exp(-p)`) does both; one
-    that accepts floats only (`math.exp`) raises ValidationError there. It
-    must be analytic on the disk around the price whose radius is a
-    quarter of the room to the nearer domain bound. `derivatives` picks one radius
-    per price (numdiff.radius) and calls numdiff.derivative of orders 1, 2
-    and 3 on it; they feed only model.taylor_coefficients. The equilibrium
-    solver evaluates x alone.
+    Contract: `func` maps a float price to a float, a real numpy array of
+    prices to the array of its values, and a complex one to the array of
+    its analytic continuation: `simulate` calls it on arrays of delayed
+    prices (`rates`), and `derivatives` and the coefficient oracle take
+    Taylor coefficients from Cauchy integrals on circles around a price
+    (numdiff). A callable written with numpy operations (`1 / p`,
+    `np.exp(-p)`) does all three; one that accepts floats only
+    (`math.exp`) raises ValidationError on arrays. It must be analytic on
+    the disk around the price whose radius is a quarter of the room to the
+    nearer domain bound. `derivatives` picks one radius per price
+    (numdiff.radius) and takes all three derivatives from one circle of
+    that radius (numdiff.derivative); they feed only
+    model.taylor_coefficients. The equilibrium solver evaluates x alone.
     """
 
     func: Callable[[float], float] = None  # type: ignore[assignment]
@@ -184,10 +185,7 @@ class NumericWrapper(DemandFunction):
         return self.func(z)
 
     def derivatives(self, p: float) -> tuple[float, float, float]:
-        self._check(p)
-        f = self.x_complex  # one bound method, so numdiff samples the circle once
-        r = numdiff.radius(f, p, self.lo, self.hi)
-        return tuple(numdiff.derivative(f, p, n, r, self.lo, self.hi) for n in (1, 2, 3))
+        return numdiff.derivative(self.func, p, numdiff.radius(self.func, p, self.lo, self.hi))
 
 
 FAMILIES = {"reciprocal", "powerlaw"}

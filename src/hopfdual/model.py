@@ -120,8 +120,9 @@ def find_equilibrium(config: ModelConfig) -> Equilibrium:
     demand domain when 1 lies outside it (doubling upward or halving
     downward, at most 60 times) until x(p) - c changes sign. A step that
     would reach a domain edge goes halfway to it instead, and the walk stops
-    with DomainViolation once that midpoint rounds onto either end, so x is
-    never evaluated at the edge. Regula falsi then shrinks the bracket, with
+    with DomainViolation once that midpoint rounds onto either end. So does
+    a start point that rounds onto an edge, on a domain an ulp or two wide;
+    x is never evaluated at the edge. Regula falsi then shrinks the bracket, with
     the Illinois rule (Dowell and Jarratt, BIT 11, 1971) halving the stale
     end's value whenever the same end survives twice, and bisection whenever
     the secant point would not fall strictly inside. It stops when x(p) = c exactly or when the
@@ -141,7 +142,7 @@ def find_equilibrium(config: ModelConfig) -> Equilibrium:
     NoBracket
         If 60 doublings find no sign change.
     DomainViolation
-        If the bracket walk reaches a demand domain edge.
+        If the start point or the bracket walk reaches a demand domain edge.
     """
     demand = config.demand
     lo_dom, hi_dom = demand.lo, demand.hi
@@ -152,6 +153,10 @@ def find_equilibrium(config: ModelConfig) -> Equilibrium:
     p0 = 1.0
     if not (lo_dom < p0 < hi_dom):
         p0 = 0.5 * (lo_dom + hi_dom) if math.isfinite(hi_dom) else max(lo_dom * 2, 1e-8)
+        if not lo_dom < p0 < hi_dom:
+            raise DomainViolation(
+                f"demand domain ({lo_dom!r}, {hi_dom!r}) holds no start price inside it"
+            )
     g0 = g(p0)
     if g0 == 0.0:
         return Equilibrium(p_star=p0, residual=0.0)
@@ -235,11 +240,10 @@ def numeric_taylor_oracle(config: ModelConfig, eq: Equilibrium) -> TaylorCoeffic
     F(u, v) = k*(u + p*)*(x(v + p*) - c); the returned b_i are the exact
     coefficients of u^i v^j in its expansion at the origin (b4 is the uv
     coefficient, b8 the uv^2 coefficient, etc.). F is evaluated through
-    demand.x_complex on a circle in u, a circle in v (numdiff.derivative)
-    and a torus (numdiff.mixed_partial), each sampled once for its three
-    orders, all of the one radius that numdiff.radius picks from the demand
-    curve around p*. Reporting-only: the verify command compares these
-    against the canonical closed forms.
+    demand.x_complex on one torus (numdiff.mixed_partial) whose two radii
+    are the one that numdiff.radius picks from the demand curve around p*;
+    all nine b_i are entries of its table. Reporting-only: the verify
+    command compares these against the canonical closed forms.
     """
     p_star = eq.p_star
     k = config.k
@@ -249,24 +253,10 @@ def numeric_taylor_oracle(config: ModelConfig, eq: Equilibrium) -> TaylorCoeffic
     def F(u, v):
         return k * (u + p_star) * (demand.x_complex(v + p_star) - c)
 
-    def F_u(u):
-        return F(u, 0.0)
-
-    def F_v(v):
-        return F(0.0, v)
-
-    # u probes never touch the demand curve but share its radius
+    # the u circle never touches the demand curve but shares its radius
     s = numdiff.radius(demand.x_complex, p_star, demand.lo, demand.hi)
-
-    b1 = numdiff.derivative(F_u, 0.0, 1, h0=s)
-    b3 = 0.5 * numdiff.derivative(F_u, 0.0, 2, h0=s)
-    b6 = numdiff.derivative(F_u, 0.0, 3, h0=s) / 6.0
-    b2 = numdiff.derivative(F_v, 0.0, 1, h0=s)
-    b5 = 0.5 * numdiff.derivative(F_v, 0.0, 2, h0=s)
-    b9 = numdiff.derivative(F_v, 0.0, 3, h0=s) / 6.0
-    b4 = numdiff.mixed_partial(F, 1, 1, s, s)
-    b7 = 0.5 * numdiff.mixed_partial(F, 2, 1, s, s)
-    b8 = 0.5 * numdiff.mixed_partial(F, 1, 2, s, s)
+    t = numdiff.mixed_partial(F, s, s).tolist()
     return TaylorCoefficients(
-        b1=b1, b2=b2, b3=b3, b4=b4, b5=b5, b6=b6, b7=b7, b8=b8, b9=b9, p_star=p_star
+        b1=t[1][0], b2=t[0][1], b3=t[2][0], b4=t[1][1], b5=t[0][2],
+        b6=t[3][0], b7=t[2][1], b8=t[1][2], b9=t[0][3], p_star=p_star,
     )

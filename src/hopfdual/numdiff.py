@@ -12,16 +12,17 @@ variables use a torus of 8 x 32 points in the same way.
 The radius trades aliasing against round-off, which grows like |f| / r^n.
 `radius` picks it once per expansion point, in the spirit of Bornemann
 (Found. Comput. Math. 11, 2011): a quarter of the room to the nearer domain
-bound, halved until |f| varies by at most a factor 100 on the circle.
-`derivative` and `mixed_partial` take the radius as given.
+bound, halved until |f| varies by at most a factor 100 on the circle. It is
+the only function that picks a radius or checks the domain; `derivative`
+and `mixed_partial` take the radius as given.
 
-Contract: f is a pure function that accepts a complex numpy array and
-returns an array of its shape (or a scalar); a callable that accepts only
-floats raises ValidationError. The sums of the last circle or torus are
-kept, so the orders at one point, asked for one after another with the
-same f and radius, sample f once. A value is the real part of its sum, and
-a sum below the round-off of the sums gives exactly 0.0, as a polynomial of
-degree below the order does.
+Contract: f accepts a complex numpy array and returns an array of its
+shape (or a scalar); a callable that accepts only floats raises
+ValidationError. The functions are pure: a call of `derivative` or
+`mixed_partial` samples f once and returns every order that its circle or
+torus holds, and nothing is kept between calls. A value is the real part
+of its sum, and a sum below the round-off of the sums gives exactly 0.0,
+as a polynomial of degree below the order does.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ _M = 8  # points on the u circle of the torus
 _SPREAD = 100.0  # largest max|f| / min|f| that radius accepts on a circle
 _HALVINGS = 30
 _FLOOR = 8 * np.finfo(float).eps  # round-off of a sum, relative to the sum of |sums|
+_ORDERS = np.arange(4.0)  # the orders 0 to 3 in each variable of the torus
 
 
 # The N-th roots of unity w^k, the M-th ones as a column, and the twiddle
@@ -47,10 +49,16 @@ _W = [complex(math.cos(2 * math.pi * k / _N), math.sin(2 * math.pi * k / _N)) fo
 _CIRCLE = np.array(_W)
 _U_CIRCLE = _CIRCLE[:: _N // _M, None]
 _TWIDDLE = np.array([[_W[-j * k % _N] / _N for k in range(_N)] for j in range(4)])
-_U_TWIDDLE = np.array([[_W[-j * k * (_N // _M) % _N] / _M for k in range(_M)] for j in range(3)])
+_U_TWIDDLE = np.array([[_W[-j * k * (_N // _M) % _N] / _M for k in range(_M)] for j in range(4)])
 
-# f, where it was last sampled, and the sums taken there
-_last: tuple = (None, None, None)
+
+def array_contract_error(exc: Exception) -> ValidationError:
+    """The error for a function that refused a numpy array with exc."""
+    return ValidationError(
+        "Cauchy integrals and array rates need a function that accepts complex numpy "
+        f"arrays, real ones too, and returns an array of their shape: "
+        f"{type(exc).__name__}: {exc}"
+    )
 
 
 def _values(f: Callable, shape: tuple, *points: np.ndarray) -> np.ndarray:
@@ -59,39 +67,16 @@ def _values(f: Callable, shape: tuple, *points: np.ndarray) -> np.ndarray:
         values = np.asarray(f(*points), dtype=complex)
         return values if values.shape == shape else np.broadcast_to(values, shape)
     except (TypeError, ValueError) as exc:
-        raise ValidationError(
-            "Cauchy-integral derivatives need a function that accepts complex numpy "
-            f"arrays and returns an array of their shape: {type(exc).__name__}: {exc}"
-        ) from exc
+        raise array_contract_error(exc) from exc
 
 
-def _sums(f: Callable, where: tuple) -> list:
-    """Trapezoid sums of f on the circle where = (x, r), a list by order, or
-    on the torus where = (su, sv, "torus"), a list of rows by u order."""
-    global _last
-    last = _last
-    if f is last[0] and where == last[1]:
-        return last[2]
-    # numpy warnings off: a sum that is not finite raises NumericalError
-    with np.errstate(all="ignore"):
-        if len(where) == 2:
-            x, r = where
-            sums = _TWIDDLE @ _values(f, _CIRCLE.shape, x + r * _CIRCLE)
-        else:
-            su, sv, _ = where
-            sums = _U_TWIDDLE @ _values(f, (_M, _N), su * _U_CIRCLE, sv * _CIRCLE) @ _TWIDDLE.T
-    sums = sums.tolist()
-    _last = (f, where, sums)
-    return sums
-
-
-def _real_or_zero(wanted: complex, sums: list) -> float:
-    """Real part of one sum, or 0.0 when it is below the round-off of the
-    sums, a few eps of the sum of their moduli."""
-    scale = sum(map(abs, sums))
+def _real_parts(sums: np.ndarray) -> np.ndarray:
+    """Real parts of trapezoid sums, each 0.0 where it is below the
+    round-off of the sums, a few eps of the sum of their moduli."""
+    scale = np.absolute(sums).sum()
     if not scale < math.inf:
         raise NumericalError("function value not finite on the Cauchy circle")
-    return 0.0 if abs(wanted.real) <= _FLOOR * scale else wanted.real
+    return np.where(np.absolute(sums.real) <= _FLOOR * scale, 0.0, sums.real)
 
 
 def _reach(x: float, lo: float | None, hi: float | None) -> float:
@@ -105,22 +90,19 @@ def _reach(x: float, lo: float | None, hi: float | None) -> float:
 def radius(f: Callable, x: float, lo: float | None = None, hi: float | None = None) -> float:
     """Circle radius for derivatives of f at x.
 
-    Starts at `derivative`'s default (a quarter of the scale of x, at most a
-    quarter of the room to the nearer bound) and halves it until
-    max|f| <= 100 min|f| on the circle, one array call of f per try; the
-    derivatives at the radius found reuse the last call. Raises
+    Starts at a quarter of the scale of x, at most a quarter of the room to
+    the nearer of the open domain bounds lo and hi, and halves it until
+    max|f| <= 100 min|f| on the circle, one array call of f per try.
+    Raises DomainViolation when x is not inside (lo, hi), and
     NumericalError when 30 halvings do not get there.
     """
-    global _last
     r = min(0.25 * max(abs(x), 1e-3), _reach(x, lo, hi))
     for _ in range(_HALVINGS):
         # numpy warnings off: overflow on a wide circle only shrinks it
         with np.errstate(all="ignore"):
-            values = _values(f, _CIRCLE.shape, x + r * _CIRCLE)
-            size = np.absolute(values)
+            size = np.absolute(_values(f, _CIRCLE.shape, x + r * _CIRCLE))
             # nan and inf fail the test, so the circle shrinks past them too
             if size.max() <= _SPREAD * size.min() < math.inf:
-                _last = (f, (x, r), (_TWIDDLE @ values).tolist())
                 return r
         r *= 0.5
     raise NumericalError(
@@ -128,60 +110,28 @@ def radius(f: Callable, x: float, lo: float | None = None, hi: float | None = No
     )
 
 
-def derivative(
-    f: Callable,
-    x: float,
-    order: int = 1,
-    h0: float | None = None,
-    lo: float | None = None,
-    hi: float | None = None,
-) -> float:
-    """Derivative of f at x of order 1, 2, or 3.
+def derivative(f: Callable, x: float, r: float) -> tuple[float, float, float]:
+    """(f'(x), f''(x), f'''(x)) from one array call of f on the circle of
+    radius r around x.
 
-    Parameters
-    ----------
-    f : callable
-        Analytic near x; takes a complex array (see the module docstring).
-    x : float
-        Evaluation point.
-    order : int
-        Derivative order, 1 to 3.
-    h0 : float, optional
-        Circle radius; defaults to a quarter of the scale of x. `radius`
-        picks one for steep functions.
-    lo, hi : float, optional
-        Open domain bounds; the radius is cut to a quarter of the room to
-        the nearer one.
+    f must be analytic on the disk of radius r around x (see the module
+    docstring); `radius` picks an r.
     """
-    if order not in (1, 2, 3):
-        raise ValueError(f"order must be 1, 2, or 3, got {order}")
-    r = min(0.25 * max(abs(x), 1e-3) if h0 is None else h0, _reach(x, lo, hi))
-    sums = _sums(f, (x, r))
-    return math.factorial(order) * _real_or_zero(sums[order], sums) / r**order
+    # numpy warnings off: a sum that is not finite raises NumericalError
+    with np.errstate(all="ignore"):
+        c = _real_parts(_TWIDDLE @ _values(f, _CIRCLE.shape, x + r * _CIRCLE)).tolist()
+    return c[1] / r, 2 * c[2] / r**2, 6 * c[3] / r**3
 
 
-def mixed_partial(
-    f: Callable,
-    order_u: int,
-    order_v: int,
-    su: float,
-    sv: float,
-) -> float:
-    """Mixed partial of f(u, v) at (0, 0), orders (1,1), (2,1), or (1,2).
+def mixed_partial(f: Callable, su: float, sv: float) -> np.ndarray:
+    """Taylor coefficients of f(u, v) at (0, 0): entry (i, j) of the 4 x 4
+    table is the coefficient of u^i v^j, from one call of f on the torus of
+    radii su and sv.
 
-    Parameters
-    ----------
-    f : callable
-        Analytic near the origin; called with a complex (8, 1) array of u
-        and a (32,) array of v, it returns their (8, 32) broadcast.
-    order_u, order_v : int
-        Differentiation orders in u and v.
-    su, sv : float
-        Radii of the u and v circles. Callers must pick them small enough
-        that f is analytic on the polydisk they span.
+    f is called with a complex (8, 1) array of u and a (32,) array of v and
+    returns their (8, 32) broadcast. Callers must pick su and sv small
+    enough that f is analytic on the polydisk they span.
     """
-    if (order_u, order_v) not in ((1, 1), (1, 2), (2, 1)):
-        raise ValueError(f"unsupported mixed orders ({order_u}, {order_v})")
-    rows = _sums(f, (su, sv, "torus"))
-    value = _real_or_zero(rows[order_u][order_v], [s for row in rows for s in row])
-    return math.factorial(order_u) * math.factorial(order_v) * value / (su**order_u * sv**order_v)
+    with np.errstate(all="ignore"):
+        sums = _U_TWIDDLE @ _values(f, (_M, _N), su * _U_CIRCLE, sv * _CIRCLE) @ _TWIDDLE.T
+        return _real_parts(sums) / np.multiply.outer(su**_ORDERS, sv**_ORDERS)

@@ -2,13 +2,14 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_model
+from conftest import C, K, reference_model
 from hopfdual import dde
 from hopfdual import (
     ConstantHistory,
@@ -19,6 +20,7 @@ from hopfdual import (
     NumericWrapper,
     PositivityLoss,
     PowerLaw,
+    Reciprocal,
     SampledHistory,
     Trajectory,
     ValidationError,
@@ -326,6 +328,63 @@ def test_domain_violation_matches_scalar_loop():
         prices.append(float(str(excinfo.value).split()[1]))
     assert prices[0] > 0.0245
     assert prices[0] == pytest.approx(prices[1], rel=1e-12, abs=0.0)
+
+
+def test_numeric_wrapper_errors_in_simulate():
+    # simulate calls the wrapped callable on arrays of delayed prices
+    hist = ConstantHistory(0.025)
+    scalar_only = NumericWrapper(func=lambda p: 1.0 / float(p), label="scalar only")
+    with pytest.raises(ValidationError, match="accepts complex numpy arrays"):
+        simulate(dataclasses.replace(reference_model(3.2), demand=scalar_only), hist, 10.0, 0.02)
+    # exp(30/p) overflows at the history price: inf on the array instead of
+    # OverflowError, and still one NumericalError with no numpy warning
+    steep = NumericWrapper(func=lambda p: np.exp(30.0 / p), label="steep")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="non-finite"):
+            simulate(dataclasses.replace(reference_model(3.2), demand=steep), hist, 10.0, 0.02)
+
+
+def _demand(family, w, alpha):
+    if family == "reciprocal":
+        return Reciprocal(w=w)
+    if family == "powerlaw":
+        return PowerLaw(w=w, alpha=alpha)
+    exponent = 1.0 / alpha
+    return NumericWrapper(func=lambda p: (w / p) ** exponent, domain_lo=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["reciprocal", "powerlaw", "numeric"]),
+    price_scale=st.integers(-3, 3).map(lambda e: 2.0**e),
+    time_scale=st.integers(-3, 3).map(lambda e: 2.0**e),
+    tau=st.floats(1.0, 6.0),
+    lag=st.floats(10.0, 60.0),
+    n=st.integers(10, 400),
+    alpha=st.floats(0.5, 3.0),
+    kick=st.floats(0.8, 1.5),
+)
+def test_nodes_scale_exactly_with_price_and_time(
+    family, price_scale, time_scale, tau, lag, n, alpha, kick
+):
+    # q = P p and s = T t turn the model into itself with k/T, w P and
+    # delay T tau; with powers of two every rounding scales exactly, so the
+    # nodes are P times the original ones and the derivatives P/T times
+    P, T = price_scale, time_scale
+    w = 1.0 if family == "reciprocal" else 1.3
+    p_star = w / C ** (1.0 if family == "reciprocal" else alpha)
+    step = tau / lag
+    base = simulate(
+        ModelConfig(k=K, c=C, tau=tau, demand=_demand(family, w, alpha)),
+        ConstantHistory(kick * p_star), n * step, step,
+    )
+    scaled = simulate(
+        ModelConfig(k=K / T, c=C, tau=T * tau, demand=_demand(family, P * w, alpha)),
+        ConstantHistory(P * kick * p_star), T * n * step, T * step,
+    )
+    assert np.array_equal(scaled.values, P * base.values)
+    assert np.array_equal(scaled.derivs, P / T * base.derivs)
 
 
 def test_positivity_loss_carries_time_attribute():

@@ -17,7 +17,7 @@ from hopfdual import (
     ValidationError,
     make_demand,
 )
-from hopfdual.numdiff import derivative
+from hopfdual.numdiff import derivative, radius
 
 
 def test_reciprocal_values_and_derivatives():
@@ -41,8 +41,8 @@ def test_powerlaw_alpha_one_equals_reciprocal():
 def test_powerlaw_derivatives_match_finite_differences():
     d = PowerLaw(w=1.3, alpha=2.5)
     for p in (0.3, 1.1):
-        for order, exact in enumerate(d.derivatives(p), start=1):
-            approx = derivative(d.x_complex, p, order, lo=0.0)
+        jet = derivative(d.x_complex, p, radius(d.x_complex, p, 0.0))
+        for order, (approx, exact) in enumerate(zip(jet, d.derivatives(p)), start=1):
             assert approx == pytest.approx(exact, rel=1e-6), (p, order)
 
 
@@ -65,7 +65,7 @@ def test_numeric_wrapper_matches_analytic_reciprocal():
 
 @pytest.mark.parametrize("domain_hi, hi", [(math.inf, None), (0.04, 0.04)])
 def test_numeric_wrapper_derivatives_are_ridders_derivatives(domain_hi, hi):
-    """derivatives(p) is numdiff.derivative of orders 1, 2, 3 at the radius
+    """derivatives(p) is the numdiff.derivative jet at the radius
     numdiff.radius picks, bit for bit; this curve keeps the default radius,
     and an infinite upper bound acts as no bound."""
 
@@ -74,8 +74,9 @@ def test_numeric_wrapper_derivatives_are_ridders_derivatives(domain_hi, hi):
 
     wrap = NumericWrapper(func=func, domain_lo=0.0, domain_hi=domain_hi)
     p = 0.021
-    expected = tuple(derivative(func, p, n, lo=0.0, hi=hi) for n in (1, 2, 3))
-    assert wrap.derivatives(p) == expected
+    r = radius(func, p, 0.0, hi)
+    assert r == 0.25 * min(p, domain_hi - p)
+    assert wrap.derivatives(p) == derivative(func, p, r)
 
 
 def test_numeric_wrapper_refuses_negative_prices():
@@ -106,6 +107,9 @@ def test_numeric_wrapper_needs_a_complex_array_callable():
     assert wrap.x(1.0) == math.exp(-1.0)
     with pytest.raises(ValidationError, match="accepts complex numpy arrays"):
         wrap.derivatives(1.0)
+    # rates, which simulate calls, names the same contract
+    with pytest.raises(ValidationError, match="accepts complex numpy arrays"):
+        wrap.rates(np.array([1.0, 2.0]))
 
 
 def test_domain_violations():

@@ -242,6 +242,10 @@ def test_normal_form_matches_wright_closed_form(demand, alpha):
     wright = (3.0 * math.pi - 2.0) / (40.0 * alpha * k * c * eq.p_star**2)
     assert nf.tau2 == pytest.approx(wright, rel=1e-12)
     assert nf.tau0 == pytest.approx(math.pi * alpha / (2.0 * k * c), rel=1e-12)
+    # the frequency shift in Wright's scaled time and amplitude is -1/20 for
+    # every alpha, as the reduction requires
+    omega_scaled = (nf.omega2 * nf.tau0 + nf.omega0 * nf.tau2) * (alpha * eq.p_star) ** 2
+    assert omega_scaled == pytest.approx(-0.05, rel=1e-12)
     assert nf.degenerate == ()
 
 

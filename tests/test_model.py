@@ -2,12 +2,15 @@
 
 import dataclasses
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import C, K, reference_model
+from hopfdual import numdiff
 from hopfdual import (
     DomainViolation,
     ModelConfig,
@@ -83,6 +86,30 @@ def test_bracket_walk_never_probes_a_domain_edge(func, lo, hi, c, edge):
         DomainViolation, match=f"^bracket expansion reached demand domain edge {edge!r}$"
     ):
         find_equilibrium(m)
+
+
+# On a domain an ulp or two wide the start point 0.5 (lo + hi) rounds onto
+# an edge (lo, then hi); past 1e308 doubling lo overflows. The solver refuses
+# these itself, before it evaluates x anywhere.
+@pytest.mark.parametrize("lo, hi", [
+    (1.0, math.nextafter(1.0, 2.0)),
+    (math.nextafter(3.0, 4.0), math.nextafter(math.nextafter(3.0, 4.0), 4.0)),
+    (1e308, math.inf),
+])
+def test_start_point_never_lands_on_a_domain_edge(lo, hi):
+    probes = []
+
+    def func(p):
+        probes.append(p)
+        return 2.0 - p
+
+    demand = NumericWrapper(func=func, domain_lo=lo, domain_hi=hi, label="edge")
+    m = ModelConfig(k=K, c=1.0, tau=1.0, demand=demand)
+    with pytest.raises(
+        DomainViolation, match=re.escape(f"demand domain ({lo!r}, {hi!r}) holds no start price")
+    ):
+        find_equilibrium(m)
+    assert probes == []
 
 
 def _power(w, alpha):
@@ -175,6 +202,38 @@ def test_oracle_across_families():
                     abs(closed.b8), abs(closed.b9), 1.0)
         for name in ("b1", "b3", "b6", "b7"):
             assert abs(getattr(oracle, name)) <= 1e-8 * scale, (demand.name, name)
+
+
+def test_oracle_samples_the_radius_probes_and_one_torus(monkeypatch):
+    # x ~ p^-30: the radius halves twice from a quarter of p*, one demand
+    # call per circle, and F is then called once, on one 8 x 32 torus,
+    # which calls the demand once more on the last circle
+    prices, torus = [], []
+
+    def func(p):
+        prices.append(p)
+        return (2.0 / p) ** 30
+
+    mixed_partial = numdiff.mixed_partial
+
+    def counted(F, su, sv):
+        def counted_F(u, v):
+            torus.append(np.broadcast(u, v).shape)
+            return F(u, v)
+
+        return mixed_partial(counted_F, su, sv)
+
+    monkeypatch.setattr(numdiff, "mixed_partial", counted)
+    m = ModelConfig(k=K, c=C, tau=1.0, demand=NumericWrapper(func=func, label="steep"))
+    eq = find_equilibrium(m)
+    prices.clear()
+    oracle = numeric_taylor_oracle(m, eq)
+    assert torus == [(8, 32)]
+    radii = [abs(p[0] - eq.p_star) / eq.p_star for p in prices]
+    assert radii == pytest.approx([0.25, 0.125, 0.0625, 0.0625], rel=1e-12)
+    closed = taylor_coefficients(m, eq)
+    assert oracle.b2 == pytest.approx(closed.b2, rel=1e-10)
+    assert oracle.b9 == pytest.approx(closed.b9, rel=1e-10)
 
 
 def test_oracle_preserves_p_star(model, eq):

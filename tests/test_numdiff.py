@@ -1,6 +1,6 @@
-"""Cauchy-integral derivatives: closed forms, the full FFT table of the same
-samples, exact zeros, the radius guard, non-finite samples,
-the sample reuse and the errors."""
+"""Cauchy-integral jets: closed forms, the full FFT table of the same
+samples, exact zeros, the radius guard, non-finite samples, one sampling
+per call and the errors."""
 
 import math
 import warnings
@@ -36,11 +36,12 @@ CLOSED_FORMS = {
 
 @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
 def test_derivatives_match_closed_forms(name):
-    f, exact, h0 = CLOSED_FORMS[name]
+    f, exact, r = CLOSED_FORMS[name]
     for x in (0.02, 0.3, 1.0, 2.5, 40.0):
-        for order in (1, 2, 3):
+        jet = derivative(f, x, r or radius(f, x))
+        for order, got in enumerate(jet, start=1):
             want = exact(x, order)
-            assert abs(derivative(f, x, order, h0) - want) <= 1e-13 * abs(want), (x, order)
+            assert abs(got - want) <= 1e-13 * abs(want), (x, order)
 
 
 def _recorded(f):
@@ -71,11 +72,12 @@ def test_derivative_orders_match_full_tableau(order, bounds):
     # the radius from 0.225 to 0.1, which raises the round-off of order 3,
     # a few eps of |f| / (|f'''| r^3 / 6), to 1e-13
     f, exact = _power(0.7)
+    r = radius(f, 0.9, *bounds)
+    assert r == (0.225 if bounds[1] is None else 0.1)
     f, calls = _recorded(f)
-    got = derivative(f, 0.9, order, lo=bounds[0], hi=bounds[1])
+    got = derivative(f, 0.9, r)[order - 1]
     assert len(calls) == 1
     (points,), values = calls[0]
-    r = 0.225 if bounds[1] is None else 0.1
     assert abs(points[0] - (0.9 + r)) < 1e-15
     scale = math.factorial(order) / r**order
     table, roundoff = _full_tableau(values, scale)
@@ -100,7 +102,8 @@ def test_mixed_partial_orders_match_full_tableau(orders):
     f, calls = _recorded(f)
     # the u circle has 8 points, so its radius stays small for a curved u
     su, sv = 0.02, 0.1
-    got = mixed_partial(f, *orders, su, sv)
+    coefficients = mixed_partial(f, su, sv)
+    assert coefficients.shape == (4, 4)
     assert len(calls) == 1
     (u, v), values = calls[0]
     assert values.shape == (8, 32)
@@ -108,6 +111,7 @@ def test_mixed_partial_orders_match_full_tableau(orders):
     # entry (i, j) of the torus's table is the coefficient of u^i v^j times su^i sv^j
     i, j = orders
     scale = math.factorial(i) * math.factorial(j) / (su**i * sv**j)
+    got = math.factorial(i) * math.factorial(j) * coefficients[i, j]
     table, roundoff = _full_tableau(values, scale)
     assert abs(got - scale * table[i, j].real) <= roundoff
     assert abs(got - _mixed_exact(*orders)) <= 1e-12 * abs(_mixed_exact(*orders))
@@ -118,28 +122,37 @@ def test_mixed_partial_of_a_function_linear_in_u():
     def f(u, v):
         return (u + 0.7) * (np.exp(-v) - 0.4)
 
-    assert mixed_partial(f, 1, 1, 0.25, 0.25) == pytest.approx(-1.0, rel=1e-14)
-    assert mixed_partial(f, 1, 2, 0.25, 0.25) == pytest.approx(1.0, rel=1e-14)
-    assert mixed_partial(f, 2, 1, 0.25, 0.25) == 0.0
+    coefficients = mixed_partial(f, 0.25, 0.25)
+    assert coefficients[1, 1] == pytest.approx(-1.0, rel=1e-14)  # u v
+    assert coefficients[1, 2] == pytest.approx(0.5, rel=1e-14)  # u v^2
+    assert coefficients[1, 3] == pytest.approx(-1.0 / 6.0, rel=1e-14)  # u v^3
+    assert coefficients[0, 1] == pytest.approx(-0.7, rel=1e-14)  # v
+    # every power of u above the first, exactly
+    assert (coefficients[2:] == 0.0).all()
 
 
 @pytest.mark.parametrize("x", [0.02, 0.7, 30.0])
 def test_polynomials_below_the_order_give_exact_zeros(x):
     line = lambda p: 100.0 - 2500.0 * p  # noqa: E731
     parabola = lambda p: 3.0 - p * p  # noqa: E731
-    assert derivative(line, x, 2) == 0.0
-    assert derivative(line, x, 3) == 0.0
-    assert derivative(parabola, x, 3) == 0.0
-    assert derivative(lambda p: 7.5 + 0.0 * p, x, 1) == 0.0
-    # the order that is not zero stays, to its round-off of about eps |f| / r^2
-    assert derivative(parabola, x, 2) == pytest.approx(-2.0, rel=1e-9)
+    r = 0.25 * x
+    d1, d2, d3 = derivative(line, x, r)
+    assert (d2, d3) == (0.0, 0.0)
+    assert d1 == pytest.approx(-2500.0, rel=1e-13)
+    d1, d2, d3 = derivative(parabola, x, r)
+    assert d3 == 0.0
+    assert derivative(lambda p: 7.5 + 0.0 * p, x, r) == (0.0, 0.0, 0.0)
+    # the orders that are not zero stay, to their round-off of about eps |f| / r^n
+    assert d2 == pytest.approx(-2.0, rel=1e-9)
+    assert d1 == pytest.approx(-2.0 * x, rel=1e-9)
 
     def bilinear(u, v):
         return (u + x) * (2.0 - 3.0 * v)
 
-    assert mixed_partial(bilinear, 1, 2, 0.1, 0.1) == 0.0
-    assert mixed_partial(bilinear, 2, 1, 0.1, 0.1) == 0.0
-    assert mixed_partial(bilinear, 1, 1, 0.1, 0.1) == pytest.approx(-3.0, rel=1e-14)
+    coefficients = mixed_partial(bilinear, 0.1, 0.1)
+    assert coefficients[1, 2] == 0.0
+    assert coefficients[2, 1] == 0.0
+    assert coefficients[1, 1] == pytest.approx(-3.0, rel=1e-14)
 
 
 def test_radius_guard_shrinks_the_circle_for_steep_functions():
@@ -149,11 +162,12 @@ def test_radius_guard_shrinks_the_circle_for_steep_functions():
     # a quarter of 1, halved four times: max|f| / min|f| on the circle is
     # ((1 + r)/(1 - r))^100, about 520 at r = 1/32 and 23 at r = 1/64
     assert r == 0.25 / 16
+    jet, wide = derivative(f, 1.0, r), derivative(f, 1.0, 0.25)
     for order in (1, 2, 3):
         want = exact(1.0, order)
-        assert abs(derivative(f, 1.0, order, r) - want) <= 1e-13 * abs(want)
-        # on the default circle aliasing swamps the result
-        assert abs(derivative(f, 1.0, order) - want) > abs(want)
+        assert abs(jet[order - 1] - want) <= 1e-13 * abs(want)
+        # on the widest circle radius tries, aliasing swamps the result
+        assert abs(wide[order - 1] - want) > abs(want)
     # a gentle function keeps the default radius, cut to a quarter of the room
     assert radius(lambda p: 1.0 / p, 0.9) == 0.225
     assert radius(lambda p: 1.0 / p, 0.9, lo=0.0, hi=1.3) == 0.1
@@ -167,13 +181,13 @@ def test_radius_shrinks_past_overflow_without_numpy_warnings():
         warnings.simplefilter("error")
         r = radius(f, 1.0)
         assert r < 0.25
-        assert derivative(f, 1.0, 1, r) == pytest.approx(-200.0 * math.exp(200.0), rel=1e-12)
+        assert derivative(f, 1.0, r)[0] == pytest.approx(-200.0 * math.exp(200.0), rel=1e-12)
         with pytest.raises(NumericalError, match="factor 100"):
             radius(lambda p: np.exp(2000.0 / p), 1.0)
         with pytest.raises(NumericalError, match="not finite"):
-            derivative(lambda p: np.exp(2000.0 / p), 1.0, 1)
+            derivative(lambda p: np.exp(2000.0 / p), 1.0, 0.25)
         with pytest.raises(NumericalError, match="not finite"):
-            mixed_partial(lambda u, v: np.full(np.broadcast(u, v).shape, np.nan), 1, 1, 0.1, 0.1)
+            mixed_partial(lambda u, v: np.full(np.broadcast(u, v).shape, np.nan), 0.1, 0.1)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -189,20 +203,20 @@ def test_ridders_non_finite_small_steps(bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert radius(narrow_bad, 1.0) == 0.25
-        assert derivative(narrow_bad, 1.0, 2) == pytest.approx(2.0, rel=1e-13)
+        assert derivative(narrow_bad, 1.0, 0.25)[1] == pytest.approx(2.0, rel=1e-13)
         with pytest.raises(NumericalError, match="not finite"):
-            derivative(narrow_bad, 1.0, 1, 0.05)
+            derivative(narrow_bad, 1.0, 0.05)
         # bad on wide circles only: the guard halves past them
         r = radius(wide_bad, 1.0)
         assert r == 0.0625
-        assert derivative(wide_bad, 1.0, 3, r) == pytest.approx(-6.0, rel=1e-13)
+        assert derivative(wide_bad, 1.0, r)[2] == pytest.approx(-6.0, rel=1e-13)
         with pytest.raises(NumericalError, match="not finite"):
-            derivative(wide_bad, 1.0, 1)
+            derivative(wide_bad, 1.0, 0.25)
         # bad from the widest circle to the narrowest
         with pytest.raises(NumericalError, match="factor 100"):
             radius(lambda p: np.full(p.shape, bad), 1.0)
         with pytest.raises(NumericalError, match="not finite"):
-            mixed_partial(lambda u, v: np.full(np.broadcast(u, v).shape, bad), 1, 1, 0.1, 0.1)
+            mixed_partial(lambda u, v: np.full(np.broadcast(u, v).shape, bad), 0.1, 0.1)
 
 
 def test_ridders_safe_stop_and_full_run():
@@ -224,6 +238,8 @@ def test_ridders_safe_stop_and_full_run():
 
 
 def test_orders_at_one_point_sample_once():
+    # one call of f gives all three orders; nothing is kept between calls,
+    # so the same call again samples again and gives the same jet
     calls = []
 
     def f(p):
@@ -231,42 +247,53 @@ def test_orders_at_one_point_sample_once():
         return 1.0 / p
 
     r = radius(f, 0.5)
-    values = [derivative(f, 0.5, n, r) for n in (1, 2, 3)]
     assert calls == [(32,)]
-    assert values == [derivative(lambda p: 1.0 / p, 0.5, n, r) for n in (1, 2, 3)]
-    derivative(f, 0.5, 1, r / 2)  # another circle samples again
-    derivative(f, 0.6, 1, r / 2)
-    assert len(calls) == 3
+    jet = derivative(f, 0.5, r)
+    assert calls == [(32,)] * 2
+    assert derivative(f, 0.5, r) == jet == derivative(lambda p: 1.0 / p, 0.5, r)
+    assert calls == [(32,)] * 3
 
     def g(u, v):
         calls.append(np.broadcast(u, v).shape)
         return (u + 1.0) / (2.0 + v)
 
-    for orders in ((1, 1), (2, 1), (1, 2)):
-        mixed_partial(g, *orders, 0.1, 0.2)
+    table = mixed_partial(g, 0.1, 0.2)
     assert calls[3:] == [(8, 32)]
+    assert (mixed_partial(g, 0.1, 0.2) == table).all()
+    assert calls[3:] == [(8, 32)] * 2
 
 
 def test_unsupported_orders_raise():
-    with pytest.raises(ValueError, match="order must be 1, 2, or 3"):
-        derivative(math.sin, 0.3, order=4)
-    with pytest.raises(ValueError, match=r"unsupported mixed orders \(2, 2\)"):
+    # the jets have fixed orders: no order is asked for, so none can be
+    # unsupported, and an order passed as before is refused
+    assert len(derivative(np.sin, 0.3, 0.1)) == 3
+    assert mixed_partial(lambda u, v: u * v, 0.1, 0.1).shape == (4, 4)
+    with pytest.raises(TypeError):
+        derivative(np.sin, 0.3, 0.1, 4)
+    with pytest.raises(TypeError):
         mixed_partial(lambda u, v: u * v, 2, 2, 0.1, 0.1)
 
 
 @pytest.mark.parametrize("x, lo, hi", [(0.0, 0.0, None), (-1.0, 0.0, 2.0), (2.0, None, 2.0),
                                        (math.nan, 0.0, None)])
 def test_points_outside_the_domain_raise(x, lo, hi):
+    # radius is the one place that checks the domain; it raises before any
+    # call of f
+    calls = []
+
+    def f(p):
+        calls.append(p)
+        return 1.0 / p
+
     with pytest.raises(DomainViolation, match="outside domain"):
-        derivative(lambda p: 1.0 / p, x, 1, lo=lo, hi=hi)
-    with pytest.raises(DomainViolation, match="outside domain"):
-        radius(lambda p: 1.0 / p, x, lo, hi)
+        radius(f, x, lo, hi)
+    assert calls == []
 
 
 def test_scalar_only_callable_names_the_complex_array_contract():
     with pytest.raises(ValidationError, match="accepts complex numpy arrays"):
-        derivative(lambda p: math.exp(-p), 1.0, 1)
+        derivative(lambda p: math.exp(-p), 1.0, 0.25)
     with pytest.raises(ValidationError, match="accepts complex numpy arrays"):
         radius(lambda p: float(p), 1.0)
     with pytest.raises(ValidationError, match="accepts complex numpy arrays"):
-        mixed_partial(lambda u, v: math.exp(u) * v, 1, 1, 0.1, 0.1)
+        mixed_partial(lambda u, v: math.exp(u) * v, 0.1, 0.1)
