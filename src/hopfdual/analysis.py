@@ -15,11 +15,10 @@ from enum import Enum
 
 import numpy as np
 
-from .bifurcation import linear_analysis
 from .dde import ConstantHistory, Trajectory, default_step, simulate
 from .errors import HopfDualError, RegimeMismatch, TooShort, ValidationError
-from .hopf import CyclePrediction, hopf_expansion, predicted_cycle
-from .model import ModelConfig, find_equilibrium, taylor_coefficients
+from .hopf import CyclePrediction, analyze, predicted_cycle
+from .model import ModelConfig
 
 # Post-transient excursion below this fraction of p* counts as equilibrium:
 # an order below the smallest cycle amplitude of interest, orders above
@@ -71,11 +70,12 @@ class CycleEstimate:
 
 @dataclass(frozen=True)
 class PredictionErrors:
-    """Relative errors |measured - predicted| / |predicted|."""
+    """Relative errors |measured - predicted| / |predicted|; None where the
+    prediction is zero, against which a relative error is undefined."""
 
-    amplitude: float
-    period: float
-    mean_offset: float
+    amplitude: float | None
+    period: float | None
+    mean_offset: float | None
 
 
 @dataclass(frozen=True)
@@ -228,6 +228,10 @@ def estimate_cycle(
     )
 
 
+def _relative_error(measured: float, predicted: float) -> float | None:
+    return None if predicted == 0.0 else abs(measured - predicted) / abs(predicted)
+
+
 def compare_prediction(est: CycleEstimate, pred: CyclePrediction) -> PredictionErrors:
     """Relative errors of a measurement against a prediction.
 
@@ -239,10 +243,9 @@ def compare_prediction(est: CycleEstimate, pred: CyclePrediction) -> PredictionE
     if est.regime is not Regime.LIMIT_CYCLE:
         raise RegimeMismatch(f"estimate regime is {est.regime.value}, not limit_cycle")
     return PredictionErrors(
-        amplitude=abs(est.amplitude - pred.amplitude) / abs(pred.amplitude),
-        period=abs(est.period - pred.period) / abs(pred.period),
-        mean_offset=abs((est.mean - pred.p_star) - pred.mean_offset)
-        / abs(pred.mean_offset),
+        amplitude=_relative_error(est.amplitude, pred.amplitude),
+        period=_relative_error(est.period, pred.period),
+        mean_offset=_relative_error(est.mean - pred.p_star, pred.mean_offset),
     )
 
 
@@ -271,11 +274,9 @@ def sweep(
         if not 0 <= t < math.inf:
             raise ValidationError(f"delay tau must be nonnegative and finite, got {t!r}")
     _check_transient_fraction(transient_fraction)
-    eq = find_equilibrium(config)
-    coeffs = taylor_coefficients(config, eq)
-    analysis = linear_analysis(coeffs)
-    exp = hopf_expansion(coeffs, analysis)
-    history = ConstantHistory(1.25 * eq.p_star if history_p0 is None else history_p0)
+    chain = analyze(config)
+    p_star, lin = chain.equilibrium.p_star, chain.linear
+    history = ConstantHistory(1.25 * p_star if history_p0 is None else history_p0)
 
     rows: list[DiagramRow] = []
     for tau in sorted(taus):
@@ -283,16 +284,16 @@ def sweep(
         row = DiagramRow(tau)
         try:
             cfg = dataclasses.replace(config, tau=tau)
-            h = default_step(tau, analysis.omega0) if step is None else step
+            h = default_step(tau, lin.omega0) if step is None else step
             traj = simulate(cfg, history, t_end, h)
-            est = estimate_cycle(traj, eq.p_star, transient_fraction)
+            est = estimate_cycle(traj, p_star, transient_fraction)
             cycle = est.regime is Regime.LIMIT_CYCLE
             row = dataclasses.replace(
                 row, regime=est.regime.value, amp_meas=est.amplitude, mean_meas=est.mean,
                 period_meas=est.period if cycle else None,
             )
-            if tau > analysis.tau0:
-                pred = predicted_cycle(exp, tau)
+            if tau > lin.tau0:
+                pred = predicted_cycle(chain.expansion, tau)
                 row = dataclasses.replace(
                     row, amp_pred=pred.amplitude, period_pred=pred.period,
                     mean_offset_pred=pred.mean_offset,

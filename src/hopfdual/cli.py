@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import compare_prediction, estimate_cycle, sweep, write_sweep_csv
-from .bifurcation import LinearAnalysis, is_locally_stable, linear_analysis
+from .bifurcation import is_locally_stable
 from .config import SETTINGS, RunConfig, load_config, parse_bool
 from .dde import (
     ConstantHistory,
@@ -53,11 +53,9 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .hopf import HopfExpansion, classify, hopf_expansion, predicted_cycle
+from .hopf import analyze, classify, predicted_cycle
 from .model import (
-    Equilibrium,
     ModelConfig,
-    TaylorCoefficients,
     find_equilibrium,
     numeric_taylor_oracle,
     taylor_coefficients,
@@ -119,18 +117,6 @@ def _g(x) -> str:
     return "%.10g" % x
 
 
-class _Chain:
-    """Shared analysis pipeline: model, equilibrium, coefficients, linear,
-    expansion, evaluated once per command."""
-
-    def __init__(self, cfg: RunConfig):
-        self.model: ModelConfig = cfg.build_model()
-        self.eq: Equilibrium = find_equilibrium(self.model)
-        self.coeffs: TaylorCoefficients = taylor_coefficients(self.model, self.eq)
-        self.linear: LinearAnalysis = linear_analysis(self.coeffs, n_critical=cfg.n_critical)
-        self.expansion: HopfExpansion = hopf_expansion(self.coeffs, self.linear)
-
-
 def _print(report: dict, text_lines: list[str], cfg: RunConfig) -> None:
     """Print the report as JSON or as text lines."""
     if cfg.json_output:
@@ -149,20 +135,22 @@ def _emit(report: dict, text_lines: list[str], cfg: RunConfig,
 
 
 def cmd_analyze(cfg: RunConfig, argv: list[str]) -> int:
-    chain = _Chain(cfg)
-    lin, exp = chain.linear, chain.expansion
+    chain = analyze(cfg.build_model(), cfg.n_critical)
+    eq, lin, exp = chain.equilibrium, chain.linear, chain.expansion
+    # the adjoint harmonics behind eta2 exist for the paper's expansion only
+    q1 = chain.paper.q1_harmonics
     report: dict = {
         "config": cfg.to_sections(),
-        "equilibrium": chain.eq,
-        "coefficients": chain.coeffs,
+        "equilibrium": eq,
+        "coefficients": chain.coefficients,
         "linear": lin,
         "expansion": exp,
     }
     lines = [
-        f"equilibrium: p_star = {_g(chain.eq.p_star)} (residual = {_g(chain.eq.residual)})",
+        f"equilibrium: p_star = {_g(eq.p_star)} (residual = {_g(eq.residual)})",
         "coefficients: " + " ".join(
             f"{name} = {_g(value)}"
-            for name, value in chain.coeffs.as_dict().items()
+            for name, value in chain.coefficients.as_dict().items()
         ),
         f"linear: omega0 = {_g(lin.omega0)}, tau0 = {_g(lin.tau0)}, "
         f"transversality = {_g(lin.transversality)}",
@@ -171,9 +159,8 @@ def cmd_analyze(cfg: RunConfig, argv: list[str]) -> int:
         f"eta2 = {_g(exp.eta2)}",
         f"u1 harmonics: C1 = {_g(exp.u1_harmonics.c1)}, D1 = {_g(exp.u1_harmonics.d1)}, "
         f"E1 = {_g(exp.u1_harmonics.e1)}",
-        f"q1 harmonics: A = {_g(exp.q1_harmonics.a)}, B = {_g(exp.q1_harmonics.b)}, "
-        f"C = {_g(exp.q1_harmonics.c)}, D = {_g(exp.q1_harmonics.d)}, "
-        f"E = {_g(exp.q1_harmonics.e)}",
+        f"q1 harmonics: A = {_g(q1.a)}, B = {_g(q1.b)}, C = {_g(q1.c)}, "
+        f"D = {_g(q1.d)}, E = {_g(q1.e)}",
     ]
     try:
         verdicts = classify(exp)
@@ -210,16 +197,18 @@ def cmd_analyze(cfg: RunConfig, argv: list[str]) -> int:
 def cmd_simulate(cfg: RunConfig, argv: list[str]) -> int:
     if cfg.tau is None:
         raise ValidationError("simulate requires a delay (--tau or [simulation] tau)")
-    chain = _Chain(cfg)
+    model = cfg.build_model()
+    chain = analyze(model, cfg.n_critical)
+    p_star = chain.equilibrium.p_star
     step = cfg.step if cfg.step is not None else default_step(cfg.tau, chain.linear.omega0)
-    p0 = cfg.history_p0 if cfg.history_p0 is not None else 1.25 * chain.eq.p_star
-    traj = simulate(chain.model, ConstantHistory(p0), cfg.t_end, step)
+    p0 = cfg.history_p0 if cfg.history_p0 is not None else 1.25 * p_star
+    traj = simulate(model, ConstantHistory(p0), cfg.t_end, step)
     report: dict = {
         "config": cfg.to_sections(),
         "tau": cfg.tau,
         "step": step,
         "history_p0": p0,
-        "p_star": chain.eq.p_star,
+        "p_star": p_star,
         "samples": len(traj.values),
         "t_end": traj.t_end,
     }
@@ -228,7 +217,7 @@ def cmd_simulate(cfg: RunConfig, argv: list[str]) -> int:
         f"({len(traj.values)} samples, history p0 = {_g(p0)})",
     ]
     try:
-        est = estimate_cycle(traj, chain.eq.p_star, cfg.transient_fraction)
+        est = estimate_cycle(traj, p_star, cfg.transient_fraction)
         report["estimate"] = est
         lines.append(
             f"regime: {est.regime.value}; amplitude = {_g(est.amplitude)}, "
@@ -300,7 +289,7 @@ def cmd_sweep(cfg: RunConfig, argv: list[str]) -> int:
 def cmd_predict(cfg: RunConfig, argv: list[str]) -> int:
     if cfg.tau is None:
         raise ValidationError("predict requires a delay (--tau or [simulation] tau)")
-    chain = _Chain(cfg)
+    chain = analyze(cfg.build_model(), cfg.n_critical)
     pred = predicted_cycle(chain.expansion, cfg.tau)
     report: dict = {
         "config": cfg.to_sections(),
@@ -355,12 +344,13 @@ def verify_coefficients(model: ModelConfig) -> list[dict]:
 
 
 def cmd_verify(cfg: RunConfig, argv: list[str]) -> int:
-    chain = _Chain(cfg)
-    rows = verify_coefficients(chain.model)
+    model = cfg.build_model()
+    p_star = find_equilibrium(model).p_star
+    rows = verify_coefficients(model)
     ok = all(row["status"] != "mismatch" for row in rows)
     report = {
         "config": cfg.to_sections(),
-        "p_star": chain.eq.p_star,
+        "p_star": p_star,
         "coefficients": rows,
         "ok": ok,
     }

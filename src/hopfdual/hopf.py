@@ -43,7 +43,14 @@ Two evaluations of these coefficients live here side by side:
   Wright's equation w' = -k*c*w(t - tau)*(1 + w), and tau2 equals the
   classical (3*pi - 2)/(40*k*c*p*^2) (Hassard, Kazarinoff and Wan, Theory
   and Applications of Hopf Bifurcation, 1981); reference setup:
-  tau2 = 928.097. It carries no cycle growth exponent.
+  tau2 = 928.097. Its growth exponent is the Hopf cycle's
+  -2*alpha'(tau0)*(tau - tau0) per unit time (same reference), with
+  alpha'(tau0) = LinearAnalysis.transversality; in units of s that is
+  eta2 = -2*alpha'(tau0)*tau2/omega0 (reference setup: -267.66).
+
+analyze builds the whole chain for a model (equilibrium, coefficients,
+linear analysis, both expansions); its Chain.expansion names the one the
+tool predicts and classifies with.
 """
 
 from __future__ import annotations
@@ -55,15 +62,22 @@ from typing import Union
 
 import numpy as np
 
-from .bifurcation import LinearAnalysis
+from .bifurcation import LinearAnalysis, linear_analysis
 from .errors import (
     DegenerateBifurcation,
     ExpansionInvalid,
     NonNegativeB2,
+    NumericalError,
     ValidationError,
     WrongSide,
 )
-from .model import TaylorCoefficients
+from .model import (
+    Equilibrium,
+    ModelConfig,
+    TaylorCoefficients,
+    find_equilibrium,
+    taylor_coefficients,
+)
 
 
 @dataclass(frozen=True)
@@ -115,6 +129,7 @@ class HopfExpansion:
 class NormalForm:
     """Corrected second-order expansion including the cubic terms.
 
+    eta2 = -2*transversality*tau2/omega0 vanishes exactly when tau2 does.
     degenerate lists the names of omega2 and tau2 if they vanish relative
     to their natural scale.
     """
@@ -123,6 +138,7 @@ class NormalForm:
     tau0: float
     omega2: float
     tau2: float
+    eta2: float
     u1_harmonics: U1Harmonics
     p_star: float
     degenerate: tuple[str, ...] = ()
@@ -169,9 +185,9 @@ class CyclePrediction:
         Angular frequency omega0 + omega2*eps^2 and period 2*pi/omega.
     mean_offset : float
         DC shift of the cycle mean above p_star, eps^2*E1.
-    floquet_exponent : float or None
-        Composite growth-rate estimate eps^2*eta2 (negative: stable cycle);
-        None for a NormalForm prediction, which has no eta2.
+    floquet_exponent : float
+        Growth exponent eps^2*eta2 of perturbations of the cycle per unit
+        of s = omega*t (times omega0: per unit time); negative: stable cycle.
     p_star : float
         Equilibrium the cycle surrounds.
     warning : str or None
@@ -185,7 +201,7 @@ class CyclePrediction:
     omega: float
     period: float
     mean_offset: float
-    floquet_exponent: float | None
+    floquet_exponent: float
     p_star: float
     u1_harmonics: U1Harmonics
     warning: str | None = None
@@ -205,6 +221,20 @@ def _vanishing(*checks: tuple[str, float, float]) -> tuple[str, ...]:
                  if abs(value) <= 1e-12 * max(1.0, scale))
 
 
+def _b2_cubed(b2: float) -> float:
+    """b2**3, the denominator of both tau2; NonNegativeB2 if b2 >= 0 and
+    NumericalError if the cube overflows or underflows to zero."""
+    if b2 >= 0:
+        raise NonNegativeB2(f"b2 = {b2!r} must be negative")
+    try:
+        cube = b2**3
+    except OverflowError:
+        cube = -math.inf
+    if not -math.inf < cube < 0.0:
+        raise NumericalError(f"b2 = {b2!r}: b2**3 is outside the floating-point range")
+    return cube
+
+
 def hopf_expansion(coeffs: TaylorCoefficients, analysis: LinearAnalysis) -> HopfExpansion:
     """Evaluate the paper's closed-form expansion coefficients verbatim.
 
@@ -212,18 +242,17 @@ def hopf_expansion(coeffs: TaylorCoefficients, analysis: LinearAnalysis) -> Hopf
 
     Raises
     ------
-    NonNegativeB2
-        If coeffs.b2 >= 0.
+    NonNegativeB2, NumericalError
+        As _b2_cubed.
     """
     b2, b4, b5 = coeffs.b2, coeffs.b4, coeffs.b5
-    if b2 >= 0:
-        raise NonNegativeB2(f"b2 = {b2!r} must be negative")
+    b2_cubed = _b2_cubed(b2)
     pi = math.pi
     e1 = -b5 / (2 * b2)
     c1 = -(b4 + 2 * b5) / (10 * b2)
     d1 = (-2 * b4 + b5) / (10 * b2)
     omega2 = (b4 + 2 * b5) * b5 / (2 * b2)
-    tau2 = ((2 - pi) * b4 * b5 - 2 * pi * b5 * b5) / (4 * b2**3)
+    tau2 = ((2 - pi) * b4 * b5 - 2 * pi * b5 * b5) / (4 * b2_cubed)
     eta2 = 5 * b4 * b5 / (2 * b2 * b2)
     qb = (4 * b4 + 4 * b5) / (5 * b2)
     q1 = Q1Harmonics(
@@ -245,7 +274,7 @@ def hopf_expansion(coeffs: TaylorCoefficients, analysis: LinearAnalysis) -> Hopf
         degenerate=_vanishing(
             ("omega2", omega2, (abs(b4) + 2 * abs(b5)) * abs(b5) / (2 * abs(b2))),
             ("tau2", tau2,
-             ((pi - 2) * abs(b4 * b5) + 2 * pi * b5 * b5) / (4 * abs(b2) ** 3)),
+             ((pi - 2) * abs(b4 * b5) + 2 * pi * b5 * b5) / (4 * abs(b2_cubed))),
             ("eta2", eta2, 5 * abs(b4 * b5) / (2 * b2 * b2)),
         ),
     )
@@ -259,12 +288,11 @@ def normal_form(coeffs: TaylorCoefficients, analysis: LinearAnalysis) -> NormalF
 
     Raises
     ------
-    NonNegativeB2
-        If coeffs.b2 >= 0.
+    NonNegativeB2, NumericalError
+        As _b2_cubed.
     """
     b2, b5, b9 = coeffs.b2, coeffs.b5, coeffs.b9
-    if b2 >= 0:
-        raise NonNegativeB2(f"b2 = {b2!r} must be negative")
+    b2_cubed = _b2_cubed(b2)
     B4 = 2.0 * coeffs.b4
     B8 = 3.0 * coeffs.b8
     pi = math.pi
@@ -272,13 +300,14 @@ def normal_form(coeffs: TaylorCoefficients, analysis: LinearAnalysis) -> NormalF
     s = sum(terms_s)
     terms_tau2 = (2 * B4 * B4, 18 * B4 * b5, -10 * B8 * b2, 8 * b5 * b5)
     omega2 = s / (20 * b2)
-    tau2 = (sum(terms_tau2) - pi * s) / (40 * b2**3)
+    tau2 = (sum(terms_tau2) - pi * s) / (40 * b2_cubed)
     scale_s = sum(abs(t) for t in terms_s)
     return NormalForm(
         omega0=analysis.omega0,
         tau0=analysis.tau0,
         omega2=omega2,
         tau2=tau2,
+        eta2=-2 * analysis.transversality * tau2 / analysis.omega0,
         u1_harmonics=U1Harmonics(
             c1=-(B4 + 2 * b5) / (10 * b2),
             d1=(b5 - 2 * B4) / (10 * b2),
@@ -288,12 +317,12 @@ def normal_form(coeffs: TaylorCoefficients, analysis: LinearAnalysis) -> NormalF
         degenerate=_vanishing(
             ("omega2", omega2, scale_s / (20 * abs(b2))),
             ("tau2", tau2,
-             (sum(abs(t) for t in terms_tau2) + pi * scale_s) / (40 * abs(b2) ** 3)),
+             (sum(abs(t) for t in terms_tau2) + pi * scale_s) / (40 * abs(b2_cubed))),
         ),
     )
 
 
-def classify(exp: HopfExpansion) -> BifurcationClass:
+def classify(exp: HopfExpansion | NormalForm) -> BifurcationClass:
     """Sign verdicts for direction, cycle stability, and period trend.
 
     Raises
@@ -313,10 +342,8 @@ def classify(exp: HopfExpansion) -> BifurcationClass:
 
 
 def predicted_cycle(exp: HopfExpansion | NormalForm, tau: float) -> CyclePrediction:
-    """Predict the cycle at delay tau from a second-order expansion.
-
-    exp is either the paper's HopfExpansion or the corrected NormalForm;
-    only the former supplies a Floquet exponent.
+    """Predict the cycle at delay tau from a second-order expansion,
+    either the paper's HopfExpansion or the corrected NormalForm.
 
     Raises
     ------
@@ -357,8 +384,37 @@ def predicted_cycle(exp: HopfExpansion | NormalForm, tau: float) -> CyclePredict
         omega=omega,
         period=2 * math.pi / omega,
         mean_offset=eps2 * exp.u1_harmonics.e1,
-        floquet_exponent=eps2 * exp.eta2 if isinstance(exp, HopfExpansion) else None,
+        floquet_exponent=eps2 * exp.eta2,
         p_star=exp.p_star,
         u1_harmonics=exp.u1_harmonics,
         warning=warning,
     )
+
+
+@dataclass(frozen=True)
+class Chain:
+    """One model's analysis, from equilibrium to both expansions.
+
+    paper is the paper's verbatim HopfExpansion and normal_form the
+    corrected expansion; expansion is the one predictions and
+    classification use.
+    """
+
+    equilibrium: Equilibrium
+    coefficients: TaylorCoefficients
+    linear: LinearAnalysis
+    paper: HopfExpansion
+    normal_form: NormalForm
+
+    @property
+    def expansion(self) -> HopfExpansion | NormalForm:
+        return self.paper
+
+
+def analyze(model: ModelConfig, n_critical: int = 3) -> Chain:
+    """Equilibrium, Taylor coefficients, linear analysis (with n_critical
+    critical delays) and both expansions of a model."""
+    eq = find_equilibrium(model)
+    coeffs = taylor_coefficients(model, eq)
+    lin = linear_analysis(coeffs, n_critical=n_critical)
+    return Chain(eq, coeffs, lin, hopf_expansion(coeffs, lin), normal_form(coeffs, lin))

@@ -11,12 +11,8 @@ from hopfdual import (
     ConstantHistory,
     ModelConfig,
     Reciprocal,
-    find_equilibrium,
-    hopf_expansion,
-    linear_analysis,
-    normal_form,
+    analyze,
     simulate,
-    taylor_coefficients,
 )
 
 K = 0.01
@@ -34,29 +30,35 @@ def model():
 
 
 @pytest.fixture(scope="session")
-def eq(model):
-    return find_equilibrium(model)
+def chain(model):
+    return analyze(model)
 
 
 @pytest.fixture(scope="session")
-def coeffs(model, eq):
-    return taylor_coefficients(model, eq)
+def eq(chain):
+    return chain.equilibrium
 
 
 @pytest.fixture(scope="session")
-def linear(coeffs):
-    return linear_analysis(coeffs)
+def coeffs(chain):
+    return chain.coefficients
 
 
 @pytest.fixture(scope="session")
-def expansion(coeffs, linear):
-    return hopf_expansion(coeffs, linear)
+def linear(chain):
+    return chain.linear
 
 
-@pytest.fixture(scope="session", name="normal_form")
-def normal_form_fixture(coeffs, linear):
+@pytest.fixture(scope="session")
+def expansion(chain):
+    """The paper's expansion, verbatim."""
+    return chain.paper
+
+
+@pytest.fixture(scope="session")
+def normal_form(chain):
     """The corrected expansion, with the cubic coefficients b8 and b9."""
-    return normal_form(coeffs, linear)
+    return chain.normal_form
 
 
 @pytest.fixture(scope="session")

@@ -12,14 +12,18 @@ from hopfdual import (
     CycleEstimate,
     CyclePrediction,
     DiagramRow,
+    ModelConfig,
+    NumericWrapper,
     Regime,
     RegimeMismatch,
     TooShort,
     Trajectory,
     U1Harmonics,
     ValidationError,
+    analyze,
     compare_prediction,
     estimate_cycle,
+    predicted_cycle,
     sweep,
     write_sweep_csv,
 )
@@ -121,6 +125,24 @@ def test_compare_prediction_arithmetic():
     assert errs.amplitude == pytest.approx(abs(3.0e-3 - 2.86e-3) / 2.86e-3)
     assert errs.period == pytest.approx(abs(12.7 - 12.762) / 12.762)
     assert errs.mean_offset == pytest.approx(abs(2.5e-4 - 2.045e-4) / 2.045e-4)
+
+
+def test_compare_prediction_against_a_zero_mean_offset():
+    # linear demand 2 - p has b5 = 0, so the normal form predicts no mean
+    # shift, and a relative error against it is undefined
+    model = ModelConfig(k=0.5, c=1.0, tau=0.0,
+                        demand=NumericWrapper(func=lambda p: 2.0 - p, domain_hi=2.0))
+    chain = analyze(model)
+    pred = predicted_cycle(chain.normal_form, chain.linear.tau0 + 0.05)
+    assert pred.mean_offset == 0.0
+    est = CycleEstimate(
+        amplitude=1.1 * pred.amplitude, period=1.01 * pred.period, mean=pred.p_star + 1e-4,
+        regime=Regime.LIMIT_CYCLE, transient_end=0.0,
+    )
+    errs = compare_prediction(est, pred)
+    assert errs.mean_offset is None
+    assert errs.amplitude == pytest.approx(0.1, rel=1e-12)
+    assert errs.period == pytest.approx(0.01, rel=1e-12)
 
 
 def test_compare_prediction_regime_mismatch():

@@ -609,3 +609,21 @@ def test_demand_overflow_exits_3_with_one_error_line(capsys, tmp_path):
         "type": "NumericalError",
         "message": "demand powerlaw(w=1000, alpha=0.005) overflows at price 1.0",
     }
+
+
+
+@pytest.mark.parametrize("k", ["1e103", "1e-110"])
+def test_b2_cube_out_of_range_exits_3_and_verify_still_holds(capsys, tmp_path, k):
+    # b2 = -k*c*p* = -5e104 or -5e-109: b2**3 overflows or underflows to zero
+    cfg = tmp_path / "k.ini"
+    cfg.write_text(f"[model]\nk = {k}\n", encoding="utf-8")
+    for argv in (["analyze"], ["predict", "--tau", "3.2"],
+                 ["sweep", "--tau-list", "3.2", "--t-end", "20",
+                  "--out", str(tmp_path / "d.csv")]):
+        rc, out, err = _run(capsys, argv + ["--config", str(cfg)])
+        assert rc == 3 and out == "", argv
+        error = _one_error_line(err)
+        assert error["type"] == "NumericalError" and "b2 = " in error["message"], argv
+    # verify reports no expansion, so it checks these models too
+    report = _run_json(capsys, ["verify", "--config", str(cfg), "--json"])
+    assert report["ok"] is True

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hopfdual import (
+    Chain,
     CycleStability,
     DegenerateBifurcation,
     Direction,
@@ -13,6 +14,7 @@ from hopfdual import (
     HopfExpansion,
     ModelConfig,
     NonNegativeB2,
+    NumericalError,
     PeriodTrend,
     PowerLaw,
     Q1Harmonics,
@@ -21,6 +23,7 @@ from hopfdual import (
     U1Harmonics,
     ValidationError,
     WrongSide,
+    analyze,
     classify,
     find_equilibrium,
     hopf_expansion,
@@ -259,6 +262,11 @@ def test_normal_form_reference_values(normal_form, expansion):
     assert u1.d1 == pytest.approx(-15.0, rel=1e-12)
     assert u1.e1 == pytest.approx(25.0, rel=1e-12)
     assert normal_form.p_star == expansion.p_star
+    # -2*alpha'(tau0)*tau2/omega0 with alpha'(tau0) = b2^2/(1 + pi^2/4),
+    # b2 = -1/2, omega0 = 1/2 and tau2 = (3*pi - 2)/0.008
+    eta2 = -(3.0 * math.pi - 2.0) / (0.008 * (1.0 + math.pi**2 / 4.0))
+    assert normal_form.eta2 == pytest.approx(eta2, rel=1e-9)
+    assert normal_form.eta2 == pytest.approx(-267.66, abs=0.005)
 
 
 def test_normal_form_without_cubic_terms():
@@ -287,14 +295,54 @@ def test_normal_form_degenerate_tau2():
     assert nf.degenerate == ("tau2",)
     with pytest.raises(DegenerateBifurcation):
         predicted_cycle(nf, lin.tau0 + 0.1)
+    with pytest.raises(DegenerateBifurcation) as excinfo:
+        classify(nf)
+    assert excinfo.value.quantity == "tau2"
 
 
-def test_predicted_cycle_from_normal_form(normal_form):
+def test_predicted_cycle_from_normal_form(normal_form, linear):
     pred = predicted_cycle(normal_form, 3.2)
     assert pred.epsilon == pytest.approx(7.933e-3, rel=1e-3)
     assert pred.amplitude == pred.epsilon
     assert pred.period == pytest.approx(12.8701, rel=1e-5)
     assert pred.mean_offset == pytest.approx(1.5733e-3, rel=1e-4)
-    assert pred.floquet_exponent is None
+    # per unit s = omega*t; times omega0 it is the Hopf cycle exponent
+    assert pred.floquet_exponent == pytest.approx(-0.0168447, rel=1e-5)
+    assert pred.floquet_exponent * normal_form.omega0 == pytest.approx(
+        -2.0 * linear.transversality * (3.2 - linear.tau0), rel=1e-12
+    )
     assert pred.u1_harmonics == normal_form.u1_harmonics
     assert pred.warning is None
+
+
+def test_chain_equals_the_separate_calls(model, chain):
+    eq = find_equilibrium(model)
+    coeffs = taylor_coefficients(model, eq)
+    lin = linear_analysis(coeffs)
+    assert chain == Chain(eq, coeffs, lin, hopf_expansion(coeffs, lin), normal_form(coeffs, lin))
+    assert analyze(model, n_critical=5).linear == linear_analysis(coeffs, n_critical=5)
+
+
+@pytest.mark.parametrize("tau", [3.1416, 3.16, 3.2, 3.3, 3.5])
+def test_normal_form_exponent_is_the_hopf_cycle_exponent(normal_form, linear, tau):
+    pred = predicted_cycle(normal_form, tau)
+    assert pred.floquet_exponent * normal_form.omega0 == pytest.approx(
+        -2.0 * linear.transversality * (tau - linear.tau0), rel=1e-12
+    )
+
+
+def test_classify_normal_form(normal_form):
+    verdicts = classify(normal_form)
+    assert verdicts.direction is Direction.SUPERCRITICAL
+    assert verdicts.cycle_stability is CycleStability.STABLE
+    assert verdicts.period_trend is PeriodTrend.INCREASING
+
+
+@pytest.mark.parametrize("b2", [-5e104, -5e-109])
+def test_expansions_refuse_b2_whose_cube_leaves_the_float_range(b2):
+    # b2**3 overflows (OverflowError) or underflows to 0 (ZeroDivisionError)
+    coeffs = _make_coeffs(b2, -12.5, 25.0)
+    lin = linear_analysis(coeffs)
+    for expand in (hopf_expansion, normal_form):
+        with pytest.raises(NumericalError, match="b2"):
+            expand(coeffs, lin)
