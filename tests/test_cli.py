@@ -32,6 +32,7 @@ from hopfdual import (
     predicted_cycle,
     read_trajectory_csv,
 )
+from hopfdual import cli
 from hopfdual.cli import main, verify_coefficients
 from hopfdual.config import write_config_file
 
@@ -627,3 +628,77 @@ def test_b2_cube_out_of_range_exits_3_and_verify_still_holds(capsys, tmp_path, k
     # verify reports no expansion, so it checks these models too
     report = _run_json(capsys, ["verify", "--config", str(cfg), "--json"])
     assert report["ok"] is True
+
+
+# Branches of the report rules that no other test reaches: a report part
+# that cannot be computed, a prediction far from the onset, a missing
+# delay and a coefficient mismatch, each in text and in JSON form.
+
+
+def test_analyze_far_above_onset_reports_prediction_unavailable(capsys):
+    message = ("predicted frequency -9.59 <= 0 at tau = 80; "
+               "the expansion cannot reach this delay")
+    report = _run_json(capsys, ["analyze", "--tau", "80", "--json"])
+    assert report["prediction"] == {"error": {"type": "ExpansionInvalid", "message": message}}
+    rc, out, err = _run(capsys, ["analyze", "--tau", "80"])
+    assert rc == 0 and err == ""
+    assert out.endswith(f"prediction unavailable: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["predict", "analyze"])
+def test_prediction_far_from_onset_warns(capsys, tmp_path, command):
+    # c = 1 moves the onset to 50 pi; tau = 160 gives epsilon^2 = 0.0204
+    cfg = tmp_path / "c1.ini"
+    cfg.write_text("[model]\nc = 1\n", encoding="utf-8")
+    argv = [command, "--tau", "160", "--config", str(cfg)]
+    warning = "epsilon^2 = 0.0204 exceeds 0.01; "
+    report = _run_json(capsys, argv + ["--json"])
+    assert report["prediction"]["warning"].startswith(warning)
+    rc, out, _ = _run(capsys, argv)
+    assert rc == 0
+    assert f"\nwarning: {warning}" in out
+
+
+def test_simulate_too_short_reports_measurement_unavailable(capsys):
+    argv = ["simulate", "--tau", "3.2", "--t-end", "40", "--step", "0.02"]
+    message = "only 0 complete cycles past the transient; need 5"
+    report = _run_json(capsys, argv + ["--json"])
+    assert report["estimate"] == {"error": {"type": "TooShort", "message": message}}
+    assert "prediction" not in report and "prediction_errors" not in report
+    rc, out, err = _run(capsys, argv)
+    assert rc == 0 and err == ""
+    assert out.endswith(f"cycle measurement unavailable: {message}\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_predict_requires_tau(capsys, flags):
+    rc, out, err = _run(capsys, ["predict", *flags])
+    assert rc == 2 and out == ""
+    assert _one_error_line(err) == {
+        "type": "ValidationError",
+        "message": "predict requires a delay (--tau or [simulation] tau)",
+    }
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_verify_mismatch_exits_3(capsys, monkeypatch, flags):
+    oracle = cli.numeric_taylor_oracle
+
+    def off_b9(model, eq):
+        coeffs = oracle(model, eq)
+        return dataclasses.replace(coeffs, b9=1.5 * coeffs.b9)
+
+    monkeypatch.setattr(cli, "numeric_taylor_oracle", off_b9)
+    rc, out, err = _run(capsys, ["verify", *flags])
+    assert rc == 3
+    assert _one_error_line(err) == {
+        "type": "NumericalError", "message": "coefficient oracle mismatch: b9",
+    }
+    if flags:
+        report = json.loads(out)
+        assert report["ok"] is False
+        status = {row["name"]: row["status"] for row in report["coefficients"]}
+        assert [name for name, s in status.items() if s == "mismatch"] == ["b9"]
+    else:
+        assert out.endswith("verify: MISMATCH\n")
+        assert out.splitlines()[9].startswith("b9 ") and out.splitlines()[9].endswith(" mismatch")
