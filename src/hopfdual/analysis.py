@@ -18,7 +18,7 @@ import numpy as np
 from .dde import ConstantHistory, Trajectory, default_step, simulate
 from .errors import HopfDualError, RegimeMismatch, TooShort, ValidationError
 from .hopf import CyclePrediction, analyze, predicted_cycle
-from .model import ModelConfig
+from .model import ModelConfig, check_delay
 
 # Post-transient excursion below this fraction of p* counts as equilibrium:
 # an order below the smallest cycle amplitude of interest, orders above
@@ -271,8 +271,7 @@ def sweep(
     if not taus:
         raise ValidationError("tau_values must be nonempty")
     for t in taus:
-        if not 0 <= t < math.inf:
-            raise ValidationError(f"delay tau must be nonnegative and finite, got {t!r}")
+        check_delay(t)
     _check_transient_fraction(transient_fraction)
     chain = analyze(config)
     p_star, lin = chain.equilibrium.p_star, chain.linear

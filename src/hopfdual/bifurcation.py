@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NoConvergence, NonNegativeB2, SingularJacobian, ValidationError
-from .model import TaylorCoefficients
+from .model import TaylorCoefficients, check_delay
 
 
 class StabilityVerdict(Enum):
@@ -94,8 +94,7 @@ def is_locally_stable(analysis: LinearAnalysis, tau: float) -> StabilityVerdict:
     The boundary gets a relative tolerance band of 1e-9*tau0 and its own
     verdict so callers never mistake the borderline case for a side.
     """
-    if not 0 <= tau < math.inf:
-        raise ValidationError(f"delay tau must be nonnegative and finite, got {tau!r}")
+    check_delay(tau)
     tol = 1e-9 * analysis.tau0
     if abs(tau - analysis.tau0) <= tol:
         return StabilityVerdict.CRITICAL
@@ -116,8 +115,7 @@ def characteristic_root(
     SingularJacobian
         If |g'| falls below 1e-14 at an iterate.
     """
-    if not 0 <= tau < math.inf:
-        raise ValidationError(f"delay tau must be nonnegative and finite, got {tau!r}")
+    check_delay(tau)
     if not (math.isfinite(guess.real) and math.isfinite(guess.imag)):
         raise ValidationError(f"guess must be finite, got {guess!r}")
     b2 = coeffs.b2

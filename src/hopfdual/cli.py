@@ -55,6 +55,7 @@ from .errors import (
 )
 from .hopf import analyze, classify, predicted_cycle
 from .model import (
+    Equilibrium,
     ModelConfig,
     find_equilibrium,
     numeric_taylor_oracle,
@@ -94,6 +95,20 @@ def _dump_json(obj) -> str:
 
 def _error(exc: HopfDualError) -> dict:
     return {"error": {"type": type(exc).__name__, "message": str(exc)}}
+
+
+def _part(report: dict, lines: list[str], key: str, what: str, compute, *args):
+    """Store compute(*args) under key in the report and return it. A part
+    that raises HopfDualError gets _error(exc) there instead, the text
+    line "<what> unavailable: <exc>", and None as the return value."""
+    try:
+        value = compute(*args)
+    except HopfDualError as exc:
+        report[key] = _error(exc)
+        lines.append(f"{what} unavailable: {exc}")
+        return None
+    report[key] = value
+    return value
 
 
 def _write_text(path: str, text: str) -> None:
@@ -178,18 +193,15 @@ def cmd_analyze(cfg: RunConfig, argv: list[str]) -> int:
         report["stability"] = {"tau": cfg.tau, "verdict": verdict.value}
         lines.append(f"stability at tau = {_g(cfg.tau)}: {verdict.value}")
         if cfg.tau > lin.tau0:
-            try:
-                pred = predicted_cycle(exp, cfg.tau)
-                report["prediction"] = pred
+            pred = _part(report, lines, "prediction", "prediction",
+                         predicted_cycle, exp, cfg.tau)
+            if pred is not None:
                 lines.append(
                     f"predicted cycle: epsilon = {_g(pred.epsilon)}, "
                     f"period = {_g(pred.period)}, mean offset = {_g(pred.mean_offset)}"
                 )
                 if pred.warning:
                     lines.append(f"warning: {pred.warning}")
-            except HopfDualError as exc:
-                report["prediction"] = _error(exc)
-                lines.append(f"prediction unavailable: {exc}")
     _emit(report, lines, cfg, "analyze", argv)
     return 0
 
@@ -216,36 +228,25 @@ def cmd_simulate(cfg: RunConfig, argv: list[str]) -> int:
         f"simulated to t = {_g(traj.t_end)} with step {_g(step)} "
         f"({len(traj.values)} samples, history p0 = {_g(p0)})",
     ]
-    try:
-        est = estimate_cycle(traj, p_star, cfg.transient_fraction)
-        report["estimate"] = est
+    est = _part(report, lines, "estimate", "cycle measurement",
+                estimate_cycle, traj, p_star, cfg.transient_fraction)
+    if est is not None:
         lines.append(
             f"regime: {est.regime.value}; amplitude = {_g(est.amplitude)}, "
             f"period = {_g(est.period) if math.isfinite(est.period) else '-'}, "
             f"mean = {_g(est.mean)} (transient cut at t = {_g(est.transient_end)})"
         )
         if cfg.tau > chain.linear.tau0:
-            try:
-                pred = predicted_cycle(chain.expansion, cfg.tau)
-            except HopfDualError as exc:
-                report["prediction"] = _error(exc)
-                lines.append(f"prediction unavailable: {exc}")
-            else:
-                report["prediction"] = pred
-                try:
-                    errs = compare_prediction(est, pred)
-                except HopfDualError as exc:
-                    report["prediction_errors"] = _error(exc)
-                    lines.append(f"prediction errors unavailable: {exc}")
-                else:
-                    report["prediction_errors"] = errs
+            pred = _part(report, lines, "prediction", "prediction",
+                         predicted_cycle, chain.expansion, cfg.tau)
+            if pred is not None:
+                errs = _part(report, lines, "prediction_errors", "prediction errors",
+                             compare_prediction, est, pred)
+                if errs is not None:
                     lines.append(
                         f"prediction errors: amplitude {_g(errs.amplitude)}, "
                         f"period {_g(errs.period)}, mean offset {_g(errs.mean_offset)}"
                     )
-    except HopfDualError as exc:
-        report["estimate"] = _error(exc)
-        lines.append(f"cycle measurement unavailable: {exc}")
     if cfg.out:
         write_trajectory_csv(traj, cfg.out)
         _write_sidecar(cfg.out, "simulate", argv, cfg)
@@ -318,7 +319,10 @@ def cmd_predict(cfg: RunConfig, argv: list[str]) -> int:
 
 def verify_coefficients(model: ModelConfig) -> list[dict]:
     """Per-coefficient comparison rows for any model (library entry point)."""
-    eq = find_equilibrium(model)
+    return _coefficient_rows(model, find_equilibrium(model))
+
+
+def _coefficient_rows(model: ModelConfig, eq: Equilibrium) -> list[dict]:
     closed_map = taylor_coefficients(model, eq).as_dict()
     oracle_map = numeric_taylor_oracle(model, eq).as_dict()
     scale = max(1.0, max(abs(v) for v in closed_map.values()))
@@ -345,12 +349,12 @@ def verify_coefficients(model: ModelConfig) -> list[dict]:
 
 def cmd_verify(cfg: RunConfig, argv: list[str]) -> int:
     model = cfg.build_model()
-    p_star = find_equilibrium(model).p_star
-    rows = verify_coefficients(model)
+    eq = find_equilibrium(model)
+    rows = _coefficient_rows(model, eq)
     ok = all(row["status"] != "mismatch" for row in rows)
     report = {
         "config": cfg.to_sections(),
-        "p_star": p_star,
+        "p_star": eq.p_star,
         "coefficients": rows,
         "ok": ok,
     }
@@ -375,12 +379,13 @@ def cmd_verify(cfg: RunConfig, argv: list[str]) -> int:
     return 0
 
 
-_DISPATCH = {
-    "analyze": cmd_analyze,
-    "simulate": cmd_simulate,
-    "sweep": cmd_sweep,
-    "predict": cmd_predict,
-    "verify": cmd_verify,
+# command -> (function, help text)
+_COMMANDS = {
+    "analyze": (cmd_analyze, "equilibrium, coefficients, linear analysis, expansion"),
+    "simulate": (cmd_simulate, "integrate one trajectory and measure the attractor"),
+    "sweep": (cmd_sweep, "bifurcation-diagram rows over a list of delays"),
+    "predict": (cmd_predict, "expansion-based cycle prediction at one delay"),
+    "verify": (cmd_verify, "closed-form coefficients against the numeric oracle"),
 }
 
 
@@ -398,14 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Delay-feedback price model: analysis, prediction, simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "analyze": "equilibrium, coefficients, linear analysis, expansion",
-        "simulate": "integrate one trajectory and measure the attractor",
-        "sweep": "bifurcation-diagram rows over a list of delays",
-        "predict": "expansion-based cycle prediction at one delay",
-        "verify": "closed-form coefficients against the numeric oracle",
-    }
-    for name, help_text in descriptions.items():
+    for name, (_, help_text) in _COMMANDS.items():
         # Flags not given stay out of the namespace: it holds the overrides.
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", metavar="FILE", help="configuration file")
@@ -429,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
         overrides = vars(_build_parser().parse_args(argv))
         command = overrides.pop("command")
         cfg = load_config(overrides.pop("config", None), overrides)
-        return _DISPATCH[command](cfg, argv)
+        return _COMMANDS[command][0](cfg, argv)
     except OSError as exc:
         # config reads raise ValidationError, so this is an output file
         error: HopfDualError = ValidationError(f"cannot write output: {exc}")

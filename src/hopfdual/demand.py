@@ -1,14 +1,14 @@
 """Rate-demand curves x(p): price in, sending rate out.
 
-A family provides three methods on an open price domain: `x`, the curve
-at one price; `x_complex`, the curve over a whole numpy array of prices,
-real ones (the integrator's, through `rates`, which checks them against
-the domain first) or complex ones (the analytic continuation that
-numdiff's Cauchy integrals sample); and `derivatives`, the tuple
-(x'(p), x''(p), x'''(p)) at one price, which only
-model.taylor_coefficients asks for. Demand must be positive and strictly
-decreasing wherever it is evaluated; the analysis modules rely on
-x'(p*) < 0.
+A family implements two methods on an open price domain: `x_complex`,
+the curve at one price or on a numpy array of prices, real or complex
+(the analytic continuation that numdiff's Cauchy integrals sample); and
+`derivatives`, the tuple (x'(p), x''(p), x'''(p)) at one price, which
+only model.taylor_coefficients asks for. The base class checks prices
+against the domain and builds the rest on x_complex: `x`, the curve at
+one price, and `rates`, the curve over an array of prices (the
+integrator's). Demand must be positive and strictly decreasing wherever
+it is evaluated; the analysis modules rely on x'(p*) < 0.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import DomainViolation, NumericalError, ValidationError
 
 @dataclass(frozen=True)
 class DemandFunction:
-    """Base demand curve. Subclasses implement x, x_complex and derivatives.
+    """Base demand curve. Subclasses implement x_complex and derivatives.
 
     Attributes
     ----------
@@ -51,14 +51,16 @@ class DemandFunction:
         if p.size and not (np.minimum.reduce(p, axis=None) > self.lo
                            and np.maximum.reduce(p, axis=None) < self.hi):
             inside = (self.lo < p) & (p < self.hi)
-            bad = float(p[~inside][0])
-            raise DomainViolation(
-                f"price {bad!r} outside demand domain ({self.lo!r}, {self.hi!r})"
-            )
+            self._check(float(p[~inside][0]))
         return p
 
     def x(self, p: float) -> float:
-        raise NotImplementedError
+        """x at one price, checked against the domain."""
+        self._check(p)
+        try:
+            return self.x_complex(p)
+        except OverflowError:
+            raise NumericalError(f"demand {self.name} overflows at price {p!r}") from None
 
     def rates(self, p) -> np.ndarray:
         """x at every price of an array, same shape; the whole array is
@@ -70,8 +72,8 @@ class DemandFunction:
             raise numdiff.array_contract_error(exc) from exc
 
     def x_complex(self, z):
-        """x at every point of a numpy array z, real or complex, not checked
-        against the domain; on complex points, the curve's analytic
+        """x at z, one price or a numpy array of them, real or complex, not
+        checked against the domain; on complex points, the curve's analytic
         continuation, which numdiff samples on circles around a price."""
         raise NotImplementedError
 
@@ -90,10 +92,6 @@ class Reciprocal(DemandFunction):
         if not 0.0 < self.w < math.inf:
             raise ValidationError(f"reciprocal weight must be positive and finite, got {self.w!r}")
         object.__setattr__(self, "name", f"reciprocal(w={self.w:g})")
-
-    def x(self, p: float) -> float:
-        self._check(p)
-        return self.w / p
 
     def x_complex(self, z):
         return self.w / z
@@ -118,13 +116,6 @@ class PowerLaw(DemandFunction):
                 f"power-law alpha must be positive and finite, got {self.alpha!r}"
             )
         object.__setattr__(self, "name", f"powerlaw(w={self.w:g}, alpha={self.alpha:g})")
-
-    def x(self, p: float) -> float:
-        self._check(p)
-        try:
-            return (self.w / p) ** (1.0 / self.alpha)
-        except OverflowError:
-            raise NumericalError(f"demand {self.name} overflows at price {p!r}") from None
 
     def x_complex(self, z):
         return (self.w / z) ** (1.0 / self.alpha)
@@ -173,13 +164,6 @@ class NumericWrapper(DemandFunction):
         object.__setattr__(self, "name", self.label)
         object.__setattr__(self, "lo", self.domain_lo)
         object.__setattr__(self, "hi", self.domain_hi)
-
-    def x(self, p: float) -> float:
-        self._check(p)
-        try:
-            return self.func(p)
-        except OverflowError:
-            raise NumericalError(f"demand {self.name} overflows at price {p!r}") from None
 
     def x_complex(self, z):
         return self.func(z)

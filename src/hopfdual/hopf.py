@@ -68,13 +68,13 @@ from .errors import (
     ExpansionInvalid,
     NonNegativeB2,
     NumericalError,
-    ValidationError,
     WrongSide,
 )
 from .model import (
     Equilibrium,
     ModelConfig,
     TaylorCoefficients,
+    check_delay,
     find_equilibrium,
     taylor_coefficients,
 )
@@ -354,8 +354,7 @@ def predicted_cycle(exp: HopfExpansion | NormalForm, tau: float) -> CyclePredict
     ExpansionInvalid
         If the predicted frequency is nonpositive (tau absurdly far out).
     """
-    if not 0 <= tau < math.inf:
-        raise ValidationError(f"delay tau must be nonnegative and finite, got {tau!r}")
+    check_delay(tau)
     if "tau2" in exp.degenerate or exp.tau2 == 0.0:
         raise DegenerateBifurcation("tau2")
     eps2 = (tau - exp.tau0) / exp.tau2

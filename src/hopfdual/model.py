@@ -37,6 +37,12 @@ from .demand import DemandFunction
 from .errors import DomainViolation, NoBracket, ValidationError
 
 
+def check_delay(tau: float) -> None:
+    """Raise ValidationError unless tau is a nonnegative finite delay."""
+    if not 0 <= tau < math.inf:
+        raise ValidationError(f"delay tau must be nonnegative and finite, got {tau!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Gain, capacity, delay, and demand curve: everything the model needs.

@@ -24,6 +24,7 @@ from hopfdual import (
     linear_analysis,
     predicted_cycle,
     rightmost_root,
+    sweep,
     taylor_coefficients,
 )
 from hopfdual import bifurcation
@@ -124,8 +125,14 @@ def test_rightmost_root_requires_positive_tau(coeffs):
         lambda coeffs, linear, expansion, tau: characteristic_root(coeffs, tau, 0.5j),
         lambda coeffs, linear, expansion, tau: rightmost_root(coeffs, tau),
         lambda coeffs, linear, expansion, tau: predicted_cycle(expansion, tau),
+        # the whole list is refused before anything is integrated
+        lambda coeffs, linear, expansion, tau: sweep(
+            ModelConfig(k=0.01, c=50.0, tau=0.0, demand=Reciprocal(w=1.0)),
+            [3.0, tau], t_end=100.0,
+        ),
     ],
-    ids=["is_locally_stable", "characteristic_root", "rightmost_root", "predicted_cycle"],
+    ids=["is_locally_stable", "characteristic_root", "rightmost_root", "predicted_cycle",
+         "sweep"],
 )
 def test_delay_must_be_finite_and_nonnegative(coeffs, linear, expansion, call, tau):
     with pytest.raises(ValidationError, match="delay tau"):

@@ -545,6 +545,18 @@ def test_verify_json_reference(capsys):
     assert ratios["b8"] == pytest.approx(3.0, abs=1e-3)
 
 
+def test_verify_solves_the_equilibrium_once(capsys, monkeypatch):
+    solve, calls = cli.find_equilibrium, []
+
+    def counted(model):
+        calls.append(model)
+        return solve(model)
+
+    monkeypatch.setattr(cli, "find_equilibrium", counted)
+    rc, _, _ = _run(capsys, ["verify"])
+    assert rc == 0 and len(calls) == 1
+
+
 def test_verify_text_table(capsys):
     rc, out, _ = _run(capsys, ["verify"])
     assert rc == 0

@@ -1,7 +1,9 @@
 """Demand families: values, derivatives, domains, and construction."""
 
+import dataclasses
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,13 +11,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hopfdual import (
+    ConstantHistory,
+    DemandFunction,
     DomainViolation,
+    ModelConfig,
     NumericalError,
     NumericWrapper,
     PowerLaw,
     Reciprocal,
     ValidationError,
+    analyze,
+    find_equilibrium,
     make_demand,
+    simulate,
 )
 from hopfdual.numdiff import derivative, radius
 
@@ -123,6 +131,40 @@ def test_domain_violations():
     with pytest.raises(DomainViolation):
         bounded.x(0.05)
     assert bounded.x(0.02) == pytest.approx(50.0)
+
+
+@dataclass(frozen=True)
+class InverseSquare(DemandFunction):
+    """x(p) = p^-2 on (0, inf), written as a family needs to be: x_complex
+    and derivatives only."""
+
+    def x_complex(self, z):
+        return z**-2.0
+
+    def derivatives(self, p):
+        return -2.0 * p**-3.0, 6.0 * p**-4.0, -24.0 * p**-5.0
+
+
+def test_family_needs_only_x_complex_and_derivatives():
+    demand = InverseSquare()
+    assert demand.x(0.5) == 4.0
+    with pytest.raises(DomainViolation, match=r"^price -1\.0 outside demand domain \(0\.0, inf\)$"):
+        demand.x(-1.0)
+    with pytest.raises(DomainViolation, match=r"^price 0\.0 outside"):
+        demand.rates(np.array([1.0, 0.0]))
+    # Python's float pow raises OverflowError past the float range
+    with pytest.raises(NumericalError, match=r"^demand demand overflows at price 1e-200$"):
+        demand.x(1e-200)
+    # k and c give p* = 0.02 and b2 = -0.5; PowerLaw(1, 0.5) is the same curve
+    model = ModelConfig(k=1e-4, c=2500.0, tau=0.0, demand=demand)
+    same = dataclasses.replace(model, demand=PowerLaw(w=1.0, alpha=0.5))
+    assert find_equilibrium(model).p_star == pytest.approx(0.02, rel=1e-12)
+    chain, reference = analyze(model), analyze(same)
+    assert chain.linear.tau0 == pytest.approx(math.pi, rel=1e-12)
+    assert chain.normal_form.tau2 == pytest.approx(reference.normal_form.tau2, rel=1e-9)
+    traj, ref = (simulate(dataclasses.replace(m, tau=3.2), ConstantHistory(0.025), 200.0, 0.02)
+                 for m in (model, same))
+    np.testing.assert_allclose(traj.values, ref.values, rtol=1e-12, atol=0)
 
 
 def test_constructor_validation():
