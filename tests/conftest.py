@@ -5,11 +5,13 @@ module and acceptance tests; they are session-scoped because each takes
 hundreds of thousands of integrator steps.
 """
 
+import numpy as np
 import pytest
 
 from hopfdual import (
     ConstantHistory,
     ModelConfig,
+    NumericWrapper,
     Reciprocal,
     analyze,
     simulate,
@@ -22,6 +24,21 @@ C = 50.0
 def reference_model(tau: float) -> ModelConfig:
     """The reference setup at a given delay."""
     return ModelConfig(k=K, c=C, tau=tau, demand=Reciprocal(w=1.0))
+
+
+def subcritical_model(tau: float = 1.0) -> ModelConfig:
+    """x(p) = exp(-p), k = 1, c = 0.95: p* = 0.051293, tau0 = 32.2356, and
+    the paper's tau2 = -20.487 (subcritical; the normal form's is +1381.67)."""
+    return ModelConfig(k=1.0, c=0.95, tau=tau,
+                       demand=NumericWrapper(func=lambda p: np.exp(-p)))
+
+
+def logistic_model(tau: float = 1.0) -> ModelConfig:
+    """x(p) = 1/(1 + exp(4 (p - 1))), k = 1, c = 0.5: p* = 1 is the curve's
+    inflection point, so x''(p*) = 0 and the paper's tau2 vanishes (flagged
+    degenerate); tau0 = pi/2."""
+    demand = NumericWrapper(func=lambda p: 1.0 / (1.0 + np.exp(4.0 * (p - 1.0))))
+    return ModelConfig(k=1.0, c=0.5, tau=tau, demand=demand)
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import reference_model
+from conftest import logistic_model, reference_model, subcritical_model
 from hopfdual import analysis
 from hopfdual import (
     SWEEP_HEADER,
@@ -173,6 +173,33 @@ def test_sweep_three_point():
         assert row.amp_err is not None and row.period_err is not None
     assert at34.period_meas > at32.period_meas
     assert at34.period_pred > at32.period_pred
+
+
+def _onset_sweep(model):
+    """Rows at 0.98 and 1.02 tau0, t_end = 400 tau0, step = tau0/100."""
+    tau0 = analyze(model).linear.tau0
+    return sweep(model, [0.98 * tau0, 1.02 * tau0], t_end=400.0 * tau0, step=tau0 / 100.0)
+
+
+def test_sweep_predicts_below_the_onset_when_subcritical():
+    # the paper's tau2 < 0 here: the cycle is predicted below tau0 only
+    below, above = _onset_sweep(subcritical_model())
+    # below's regime is not asserted: a decaying oscillation that has not
+    # settled at t_end still reads as a limit cycle
+    assert below.status == "ok"
+    assert below.amp_pred == pytest.approx(0.1774, rel=1e-3)
+    assert below.period_pred is not None and below.mean_offset_pred is not None
+    assert above.status == "ok"
+    assert above.regime == "limit_cycle"
+    assert (above.amp_pred, above.period_pred, above.mean_offset_pred) == (None, None, None)
+
+
+def test_sweep_reports_a_vanishing_tau2_above_the_onset():
+    below, above = _onset_sweep(logistic_model())
+    assert (below.regime, below.status) == ("equilibrium", "ok")
+    assert below.amp_pred is None
+    assert above.status == "DegenerateBifurcation"
+    assert above.amp_pred is None
 
 
 def test_sweep_keeps_going_past_failed_rows():

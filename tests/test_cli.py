@@ -5,6 +5,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -32,7 +35,9 @@ from hopfdual import (
     predicted_cycle,
     read_trajectory_csv,
 )
-from hopfdual import cli
+import hopfdual
+from conftest import logistic_model
+from hopfdual import cli, hopf
 from hopfdual.cli import main, verify_coefficients
 from hopfdual.config import write_config_file
 
@@ -85,6 +90,27 @@ def test_analyze_text_output(capsys):
     assert "p_star = 0.02" in out
     assert "omega0 = 0.5" in out
     assert "supercritical" in out
+
+
+def test_analyze_reports_a_degenerate_classification(capsys, monkeypatch):
+    # the CLI's own demands give a nonzero tau2; the logistic curve's vanishes
+    monkeypatch.setattr(cli, "analyze", lambda model, n: hopf.analyze(logistic_model(), n))
+    rc, out, _ = _run(capsys, ["analyze"])
+    assert rc == 0
+    assert "classification: degenerate (tau2 vanishes)" in out.splitlines()
+    report = _run_json(capsys, ["analyze", "--json"])
+    assert report["classification"] == {"degenerate": "tau2"}
+
+
+def test_python_m_hopfdual_prints_what_main_prints(capsys, tmp_path):
+    src = str(Path(hopfdual.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-m", "hopfdual", "analyze", "--json"],
+                          capture_output=True, cwd=tmp_path, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["analyze", "--json"]) == 0
+    assert proc.stdout.decode("utf-8") == capsys.readouterr().out
 
 
 def test_analyze_with_tau(capsys):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import logistic_model, reference_model, subcritical_model
 from hopfdual import (
     Chain,
     ConstantHistory,
@@ -174,6 +175,30 @@ def test_predicted_cycle_wrong_side(expansion):
         predicted_cycle(expansion, 3.0)
     with pytest.raises(ValidationError):
         predicted_cycle(expansion, -1.0)
+
+
+# expansion, then (tau, has_cycle_at(tau)) with "tau0" for the onset itself
+_SIDES = {
+    "reference paper": (lambda: analyze(reference_model(3.2)).paper,
+                        [(3.0, False), ("tau0", False), (3.2, True)]),
+    "subcritical paper": (lambda: analyze(subcritical_model()).paper,
+                          [(31.59, True), ("tau0", False), (32.88, False)]),
+    "subcritical normal form": (lambda: analyze(subcritical_model()).normal_form,
+                                [(31.59, False), ("tau0", False), (32.88, True)]),
+    "degenerate tau2": (lambda: analyze(logistic_model()).paper,
+                        [(1.54, False), ("tau0", False), (1.60, True)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SIDES))
+def test_has_cycle_at_follows_the_sign_of_tau2(name):
+    build, cases = _SIDES[name]
+    exp = build()
+    for tau, expected in cases:
+        tau = exp.tau0 if tau == "tau0" else tau
+        assert exp.has_cycle_at(tau) is expected, tau
+        if expected and "tau2" not in exp.degenerate:
+            assert predicted_cycle(exp, tau).tau == tau
 
 
 def test_predicted_cycle_expansion_invalid_far_out(expansion):
