@@ -261,7 +261,8 @@ def sweep(
 
     Rows are ordered by tau. A row whose simulation or measurement fails
     carries the failure's class name in its status instead of aborting the
-    sweep. Predictions appear only above the bifurcation point.
+    sweep. Predictions appear only on the side of tau0 where the expansion
+    has a cycle (Chain.expansion.has_cycle_at).
 
     Raises ValidationError before integrating anything if tau_values is
     empty or holds a negative, nan or infinite delay, if transient_fraction
@@ -291,7 +292,7 @@ def sweep(
                 row, regime=est.regime.value, amp_meas=est.amplitude, mean_meas=est.mean,
                 period_meas=est.period if cycle else None,
             )
-            if tau > lin.tau0:
+            if chain.expansion.has_cycle_at(tau):
                 pred = predicted_cycle(chain.expansion, tau)
                 row = dataclasses.replace(
                     row, amp_pred=pred.amplitude, period_pred=pred.period,

@@ -192,7 +192,7 @@ def cmd_analyze(cfg: RunConfig, argv: list[str]) -> int:
         verdict = is_locally_stable(lin, cfg.tau)
         report["stability"] = {"tau": cfg.tau, "verdict": verdict.value}
         lines.append(f"stability at tau = {_g(cfg.tau)}: {verdict.value}")
-        if cfg.tau > lin.tau0:
+        if exp.has_cycle_at(cfg.tau):
             pred = _part(report, lines, "prediction", "prediction",
                          predicted_cycle, exp, cfg.tau)
             if pred is not None:
@@ -236,7 +236,7 @@ def cmd_simulate(cfg: RunConfig, argv: list[str]) -> int:
             f"period = {_g(est.period) if math.isfinite(est.period) else '-'}, "
             f"mean = {_g(est.mean)} (transient cut at t = {_g(est.transient_end)})"
         )
-        if cfg.tau > chain.linear.tau0:
+        if chain.expansion.has_cycle_at(cfg.tau):
             pred = _part(report, lines, "prediction", "prediction",
                          predicted_cycle, chain.expansion, cfg.tau)
             if pred is not None:

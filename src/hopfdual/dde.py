@@ -67,7 +67,7 @@ class HistoryFunction:
 class ConstantHistory(HistoryFunction):
     """p(t) = p0 for every t <= 0."""
 
-    p0: float = 0.0
+    p0: float
 
     def __post_init__(self):
         if not (math.isfinite(self.p0) and self.p0 > 0):
@@ -85,8 +85,8 @@ class SampledHistory(HistoryFunction):
     Times must be increasing and bracket [-tau, 0]; values must be positive.
     """
 
-    times: tuple[float, ...] = ()
-    values: tuple[float, ...] = ()
+    times: tuple[float, ...]
+    values: tuple[float, ...]
 
     def __post_init__(self):
         t = tuple(float(v) for v in self.times)

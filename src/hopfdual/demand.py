@@ -145,7 +145,7 @@ class NumericWrapper(DemandFunction):
     model.taylor_coefficients. The equilibrium solver evaluates x alone.
     """
 
-    func: Callable[[float], float] = None  # type: ignore[assignment]
+    func: Callable[[float], float]
     domain_lo: float = 0.0
     domain_hi: float = math.inf
     label: str = "numeric"

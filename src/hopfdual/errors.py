@@ -49,9 +49,9 @@ class PositivityLoss(NumericalError):
         Simulation time at which positivity was lost.
     """
 
-    def __init__(self, time: float, message: str | None = None):
+    def __init__(self, time: float):
         self.time = time
-        super().__init__(message or f"price became nonpositive at t = {time:.6g}")
+        super().__init__(f"price became nonpositive at t = {time:.6g}")
 
 
 class DelayedLookupGap(NumericalError):

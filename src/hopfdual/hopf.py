@@ -17,9 +17,10 @@ give the growth exponent eta = eps^2*eta2 + ... with
     q(s) = sin(s) + eps*q1(s) + ...,
     q1(s) = A + B*cos(s) + C*sin(s) + D*cos(2s) + E*sin(2s).
 
-Sign rules: tau2 > 0 means the cycle exists above tau0 (supercritical);
-eta2 < 0 means it is orbitally stable; omega2 < 0 means the period grows
-with the delay.
+Sign rules: tau2 > 0 means the cycle exists above tau0 (supercritical)
+and tau2 < 0 below it (subcritical), which HopfExpansion.has_cycle_at
+decides for every caller; eta2 < 0 means the cycle is orbitally stable;
+omega2 < 0 means the period grows with the delay.
 
 Two evaluations of these coefficients live here side by side:
 
@@ -108,10 +109,14 @@ class Q1Harmonics:
 
 @dataclass(frozen=True)
 class HopfExpansion:
-    """All expansion coefficients needed to predict and classify the cycle.
+    """All expansion coefficients needed to predict and classify the cycle,
+    from hopf_expansion (the paper's) or normal_form (the corrected one).
 
-    degenerate lists the names of second-order quantities that vanish
-    relative to their natural scale (so sign verdicts would be meaningless).
+    q1_harmonics are the adjoint harmonics behind the paper's eta2; they
+    are None for normal_form, whose eta2 = -2*transversality*tau2/omega0
+    needs none. degenerate lists the names of second-order quantities that
+    vanish relative to their natural scale (so sign verdicts would be
+    meaningless).
     """
 
     omega0: float
@@ -120,28 +125,16 @@ class HopfExpansion:
     tau2: float
     eta2: float
     u1_harmonics: U1Harmonics
-    q1_harmonics: Q1Harmonics
+    q1_harmonics: Q1Harmonics | None
     p_star: float
     degenerate: tuple[str, ...] = ()
 
-
-@dataclass(frozen=True)
-class NormalForm:
-    """Corrected second-order expansion including the cubic terms.
-
-    eta2 = -2*transversality*tau2/omega0 vanishes exactly when tau2 does.
-    degenerate lists the names of omega2 and tau2 if they vanish relative
-    to their natural scale.
-    """
-
-    omega0: float
-    tau0: float
-    omega2: float
-    tau2: float
-    eta2: float
-    u1_harmonics: U1Harmonics
-    p_star: float
-    degenerate: tuple[str, ...] = ()
+    def has_cycle_at(self, tau: float) -> bool:
+        """Whether the expansion has a cycle at delay tau: below tau0 when
+        tau2 < 0 (subcritical), above it otherwise. A vanishing tau2 counts
+        as above, where predicted_cycle raises DegenerateBifurcation."""
+        below = self.tau2 < 0 and "tau2" not in self.degenerate
+        return bool(tau < self.tau0 if below else tau > self.tau0)
 
 
 class Direction(Enum):
@@ -280,11 +273,12 @@ def hopf_expansion(coeffs: TaylorCoefficients, analysis: LinearAnalysis) -> Hopf
     )
 
 
-def normal_form(coeffs: TaylorCoefficients, analysis: LinearAnalysis) -> NormalForm:
+def normal_form(coeffs: TaylorCoefficients, analysis: LinearAnalysis) -> HopfExpansion:
     """Corrected second-order expansion from the raw monomial coefficients.
 
     See the module docstring for the closed forms. Only b2, b4, b5, b8 and
-    b9 enter: b1, b3, b6 and b7 vanish for this model.
+    b9 enter: b1, b3, b6 and b7 vanish for this model. eta2 vanishes
+    exactly when tau2 does, so degenerate names omega2 and tau2 only.
 
     Raises
     ------
@@ -302,7 +296,7 @@ def normal_form(coeffs: TaylorCoefficients, analysis: LinearAnalysis) -> NormalF
     omega2 = s / (20 * b2)
     tau2 = (sum(terms_tau2) - pi * s) / (40 * b2_cubed)
     scale_s = sum(abs(t) for t in terms_s)
-    return NormalForm(
+    return HopfExpansion(
         omega0=analysis.omega0,
         tau0=analysis.tau0,
         omega2=omega2,
@@ -313,6 +307,7 @@ def normal_form(coeffs: TaylorCoefficients, analysis: LinearAnalysis) -> NormalF
             d1=(b5 - 2 * B4) / (10 * b2),
             e1=-b5 / (2 * b2),
         ),
+        q1_harmonics=None,
         p_star=coeffs.p_star,
         degenerate=_vanishing(
             ("omega2", omega2, scale_s / (20 * abs(b2))),
@@ -322,7 +317,7 @@ def normal_form(coeffs: TaylorCoefficients, analysis: LinearAnalysis) -> NormalF
     )
 
 
-def classify(exp: HopfExpansion | NormalForm) -> BifurcationClass:
+def classify(exp: HopfExpansion) -> BifurcationClass:
     """Sign verdicts for direction, cycle stability, and period trend.
 
     Raises
@@ -341,9 +336,9 @@ def classify(exp: HopfExpansion | NormalForm) -> BifurcationClass:
     )
 
 
-def predicted_cycle(exp: HopfExpansion | NormalForm, tau: float) -> CyclePrediction:
-    """Predict the cycle at delay tau from a second-order expansion,
-    either the paper's HopfExpansion or the corrected NormalForm.
+def predicted_cycle(exp: HopfExpansion, tau: float) -> CyclePrediction:
+    """Predict the cycle at delay tau from a second-order expansion, the
+    paper's or the corrected one.
 
     Raises
     ------
@@ -394,19 +389,19 @@ def predicted_cycle(exp: HopfExpansion | NormalForm, tau: float) -> CyclePredict
 class Chain:
     """One model's analysis, from equilibrium to both expansions.
 
-    paper is the paper's verbatim HopfExpansion and normal_form the
-    corrected expansion; expansion is the one predictions and
-    classification use.
+    paper is the paper's verbatim expansion and normal_form the corrected
+    one; expansion is the one predictions, classification and the cycle
+    side (its has_cycle_at) use.
     """
 
     equilibrium: Equilibrium
     coefficients: TaylorCoefficients
     linear: LinearAnalysis
     paper: HopfExpansion
-    normal_form: NormalForm
+    normal_form: HopfExpansion
 
     @property
-    def expansion(self) -> HopfExpansion | NormalForm:
+    def expansion(self) -> HopfExpansion:
         return self.paper
 
 

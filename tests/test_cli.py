@@ -17,6 +17,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import hopfdual
+from conftest import logistic_model
 from hopfdual import (
     BifurcationClass,
     CycleEstimate,
@@ -35,8 +37,6 @@ from hopfdual import (
     predicted_cycle,
     read_trajectory_csv,
 )
-import hopfdual
-from conftest import logistic_model
 from hopfdual import cli, hopf
 from hopfdual.cli import main, verify_coefficients
 from hopfdual.config import write_config_file
@@ -104,8 +104,7 @@ def test_analyze_reports_a_degenerate_classification(capsys, monkeypatch):
 
 def test_python_m_hopfdual_prints_what_main_prints(capsys, tmp_path):
     src = str(Path(hopfdual.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-m", "hopfdual", "analyze", "--json"],
                           capture_output=True, cwd=tmp_path, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
