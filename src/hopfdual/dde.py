@@ -7,22 +7,28 @@ for t - tau <= 0.
 
 Once the delayed price is known the equation is linear in p:
 p' = a(t) p with a = k (x(p(t - tau)) - c). One RK4 step is therefore a
-growth factor, p_{n+1} = p_n R_n, where R_n depends only on the delayed
-prices at the step's stage times t_n, t_n + h/2 and t_n + h. With
-lag = tau/step >= 10, those of the next B = ceil(lag) - 2 steps (at least
-8) all lie between nodes that are already computed. `simulate` advances
-one such block at a time: it evaluates the block's delayed prices at once
-(they form a half-step grid of 2B + 1 points, as the last stage time of a
-step is the first of the next), calls the demand once on that array, and
-takes the nodes as a running product of the growth factors. The node
-values and derivatives are the two rows of one array, so one gather at a
-fixed index, relative to the first node the block reads, takes all four
-Hermite inputs of a block. Only the first blocks, whose points still lie
-in the history, gather at absolute, clipped indices; those points are then
-taken from the history. The views into the block buffers are built once
-and reused by every full block; a shorter block (the last one, or one cut
-short by a domain violation) slices them again. The block length follows
-from tau/step; it is not a setting.
+growth factor, p_{n+1} = p_n R_n, where R_n depends only on the scaled
+rates u = h a (h the step) at the stage times t_n, t_n + h/2 and t_n + h
+(u0, u1 and u2): with A = u1 (2 + u0), B = u1 (4 + A) and C = u2 (4 + B), which are
+2, 4 and 4 times h/p times the second, third and fourth RK4 stages,
+R_n = 1 + (2 (2 (u0 + A) + B) + C) / 24. With lag = tau/step >= 10, the
+delayed prices of the next m = ceil(lag) - 2 steps (at least 8) all lie
+between nodes that are already computed. `simulate` advances one such
+block at a time: it evaluates the block's delayed prices at once (they
+form a half-step grid of 2m + 1 points, as the last stage time of a step
+is the first of the next), calls the demand once on that array, and takes
+the nodes as a running product of the growth factors. The node values and
+slopes h d (derivative times step) are the two rows of one array, so one
+gather at a fixed index, relative to the first node the block reads, takes
+all four Hermite inputs of a block, and no Hermite weight carries a factor
+h; the slope row is divided by h once, in place, when the run is done.
+Only the first blocks, whose points still lie in the history, gather at
+absolute, clipped indices; the history then gives those points with one
+call on the array of their times, so a HistoryFunction must take an array
+of times as well as one time. The views into the block buffers are built
+once and reused by every full block; a shorter block (the last one, or one
+cut short by a domain violation) slices them again. The block length
+follows from tau/step; it is not a setting.
 
 The node derivative stored for Hermite interpolation is the RK4 first-stage
 slope, i.e. the exact right-hand side at the node, which makes the dense
@@ -36,7 +42,6 @@ import math
 import os
 import sys
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Union
 
@@ -54,9 +59,17 @@ from .model import ModelConfig
 
 @dataclass(frozen=True)
 class HistoryFunction:
-    """Initial price history on [-tau, 0]."""
+    """Initial price history on [-tau, 0].
 
-    def __call__(self, t: float) -> float:
+    A history is called with one time, a float, and returns a float, or
+    with a numpy array of times and returns an array of their shape, with
+    the same value at each time as a call on that time alone. `simulate`
+    reads each early block's history points with one array call; a history
+    that refuses arrays makes it raise ValidationError naming this
+    contract.
+    """
+
+    def __call__(self, t: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         raise NotImplementedError
 
     def check_coverage(self, tau: float) -> None:
@@ -73,16 +86,18 @@ class ConstantHistory(HistoryFunction):
         if not (math.isfinite(self.p0) and self.p0 > 0):
             raise ValidationError(f"history price must be positive, got {self.p0!r}")
 
-    def __call__(self, t: float) -> float:
-        return self.p0
+    def __call__(self, t):
+        return self.p0 if np.ndim(t) == 0 else np.full(np.shape(t), self.p0)
 
 
 @dataclass(frozen=True)
 class SampledHistory(HistoryFunction):
-    """Piecewise-linear history through (times, values) samples.
+    """Piecewise-linear history through (times, values) samples, constant
+    before the first sample and after the last.
 
     Intended for restart scenarios: pass the tail of a previous trajectory.
-    Times must be increasing and bracket [-tau, 0]; values must be positive.
+    Times must be finite, increasing and bracket [-tau, 0]; values must be
+    positive.
     """
 
     times: tuple[float, ...]
@@ -93,6 +108,8 @@ class SampledHistory(HistoryFunction):
         v = tuple(float(x) for x in self.values)
         if len(t) != len(v) or len(t) < 2:
             raise ValidationError("sampled history needs matching times/values, >= 2 points")
+        if not all(math.isfinite(x) for x in t):
+            raise ValidationError(f"sampled history times must be finite, got {t!r}")
         if any(b <= a for a, b in zip(t, t[1:])):
             raise ValidationError("sampled history times must be strictly increasing")
         if any(x <= 0 or not math.isfinite(x) for x in v):
@@ -107,15 +124,16 @@ class SampledHistory(HistoryFunction):
                 f"does not cover [-{tau:g}, 0]"
             )
 
-    def __call__(self, t: float) -> float:
-        ts, vs = self.times, self.values
-        if t <= ts[0]:
-            return vs[0]
-        if t >= ts[-1]:
-            return vs[-1]
-        j = bisect_right(ts, t) - 1
-        th = (t - ts[j]) / (ts[j + 1] - ts[j])
-        return vs[j] * (1.0 - th) + vs[j + 1] * th
+    def __call__(self, t):
+        ts, vs = np.array(self.times), np.array(self.values)
+        tt = np.asarray(t, dtype=float)
+        # Sample j is the last one at or before t, kept inside [0, len - 2];
+        # th, clipped to [0, 1], then gives vs[0] before the first sample and
+        # vs[-1] after the last exactly, as vs[j] * 1 + vs[j + 1] * 0 = vs[j].
+        j = np.clip(np.searchsorted(ts, tt, side="right") - 1, 0, len(ts) - 2)
+        th = np.clip((tt - ts[j]) / (ts[j + 1] - ts[j]), 0.0, 1.0)
+        out = vs[j] * (1.0 - th) + vs[j + 1] * th
+        return float(out) if out.ndim == 0 else out
 
 
 def _hermite_weights(th):
@@ -281,19 +299,18 @@ def simulate(
     half = np.arange(2 * block + 1) / 2.0
     offset = half - lag
     left = np.floor(offset)
-    w00, w10, w01, w11 = _hermite_weights(offset - left)
-    # weights[r] multiplies gathered row r: v_j, d_j, v_{j+1}, d_{j+1} (node
-    # values v, derivatives d); the derivative weights carry the factor h.
-    weights = np.array((w00, w10 * h, w01, w11 * h))
+    # weights[r] multiplies gathered row r: v_j, h d_j, v_{j+1}, h d_{j+1}
+    # (node values v, slopes h d), so no weight carries a factor h.
+    weights = np.array(_hermite_weights(offset - left))
     left = left.astype(int)
     first = int(left[0])
 
-    # Node values and derivatives are the two rows of one (2, n + 1) array,
-    # so flat[j] is node j's value and flat[n + 1 + j] its derivative. Point
-    # q of a block at step s reads nodes s + left[q] and s + left[q] + 1, so
-    # one gather at a fixed index into flat[s + left[0]:] reads all four
-    # Hermite inputs of a block. Early blocks, whose first points still lie
-    # in the history (s + left[0] < 0), gather at the clipped absolute index
+    # Node values and slopes are the two rows of one (2, n + 1) array, so
+    # flat[j] is node j's value and flat[n + 1 + j] its slope. Point q of a
+    # block at step s reads nodes s + left[q] and s + left[q] + 1, so one
+    # gather at a fixed index into flat[s + left[0]:] reads all four Hermite
+    # inputs of a block. Early blocks, whose first points still lie in the
+    # history (s + left[0] < 0), gather at the clipped absolute index
     # instead, and the history values then replace those points. Zeros, not
     # empty, so that those clipped reads, which may land on any slot, are
     # finite.
@@ -301,7 +318,7 @@ def simulate(
     index = np.stack((rel, rel + n + 1, rel + 1, rel + n + 2))
     node_rows = np.zeros((2, n + 1))
     flat = node_rows.ravel()
-    values, derivs = node_rows
+    values, slopes = node_rows
     values[0] = p0
     gathered = np.empty((4, 2 * block + 1))
     delayed = np.empty(2 * block + 1)
@@ -310,19 +327,19 @@ def simulate(
     growth = np.empty(block + 1)
 
     def views(b):
-        """Views of the block buffers for b steps: the rates a at all 2b + 1
-        points and at the b + 1 nodes; a0, a1, a2 (the rates that stage 1,
-        stages 2 and 3, and stage 4 of each step read); the three RK4 stage
-        rows; the growth factors with the block's first node in front, and
-        without it."""
-        a = rate[:2 * b + 1]
-        a1g2, a1g3, a2g4 = stages[:, :b]
-        return (a, a[::2], a[0:-1:2], a[1::2], a[2::2], a1g2, a1g3, a2g4,
+        """Views of the block buffers for b steps: the scaled rates u at all
+        2b + 1 points and at the b + 1 nodes; u0, u1, u2 (the rates that
+        stage 1, stages 2 and 3, and stage 4 of each step read); the rows A,
+        B and C; the growth factors with the block's first node in front,
+        and without it."""
+        u = rate[:2 * b + 1]
+        A, B, C = stages[:, :b]
+        return (u, u[::2], u[0:-1:2], u[1::2], u[2::2], A, B, C,
                 growth[:b + 1], growth[1:b + 1])
 
     # A full block uses these; only a shorter one slices again.
     full = views(block)
-    half_h, sixth_h = 0.5 * h, h / 6.0
+    hk = h * k
     s = 0
     # Overflow to inf or nan in a block is reported by the node check below.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -338,7 +355,13 @@ def simulate(
             np.add.reduce(gathered, axis=0, out=delayed)
             if start < 0:
                 cut = int(np.searchsorted(left, -s))
-                delayed[:cut] = [history(t) for t in ((s + half[:cut] - lag) * h).tolist()]
+                try:
+                    delayed[:cut] = history((s + half[:cut] - lag) * h)
+                except (TypeError, ValueError) as exc:
+                    raise ValidationError(
+                        "simulate needs a history that accepts a numpy array of times "
+                        f"and returns an array of their shape: {type(exc).__name__}: {exc}"
+                    ) from exc
             try:
                 x = demand.rates(delayed if b == block else delayed[:2 * b + 1])
             except DomainViolation:
@@ -351,29 +374,26 @@ def simulate(
                 if b <= 0:
                     raise
                 x = demand.rates(delayed[:2 * b + 1])
-            a, a_nodes, a0, a1, a2, a1g2, a1g3, a2g4, grow, rk4 = (
-                full if b == block else views(b)
-            )
-            np.subtract(x, c, out=a)
-            a *= k
-            # The RK4 stages are p a0, p a1 g2, p a1 g3 and p a2 g4, with
-            # g2 = 1 + h/2 a0, g3 = 1 + h/2 a1 g2 and g4 = 1 + h a1 g3.
-            np.multiply(a0, half_h, out=a1g2)
-            a1g2 += 1.0
-            a1g2 *= a1
-            np.multiply(a1g2, half_h, out=a1g3)
-            a1g3 += 1.0
-            a1g3 *= a1
-            np.multiply(a1g3, h, out=a2g4)
-            a2g4 += 1.0
-            a2g4 *= a2
-            # growth = 1 + h/6 (a0 + 2 a1g2 + 2 a1g3 + a2g4), left to right
-            a1g2 *= 2.0
-            np.add(a0, a1g2, out=rk4)
-            a1g3 *= 2.0
-            rk4 += a1g3
-            rk4 += a2g4
-            rk4 *= sixth_h
+            u, u_nodes, u0, u1, u2, A, B, C, grow, rk4 = full if b == block else views(b)
+            np.subtract(x, c, out=u)
+            u *= hk
+            # With g2 = 1 + u0/2, g3 = 1 + u1 g2/2 and g4 = 1 + u1 g3, the RK4
+            # stages times h/p are u0, u1 g2, u1 g3 and u2 g4; A, B and C
+            # are 2, 4 and 4 times the last three.
+            np.add(u0, 2.0, out=A)
+            A *= u1
+            np.add(A, 4.0, out=B)
+            B *= u1
+            np.add(B, 4.0, out=C)
+            C *= u2
+            # growth = 1 + (u0 + 2 u1 g2 + 2 u1 g3 + u2 g4)/6
+            #        = 1 + (2 (2 (u0 + A) + B) + C)/24, left to right
+            np.add(u0, A, out=rk4)
+            rk4 *= 2.0
+            rk4 += B
+            rk4 *= 2.0
+            rk4 += C
+            rk4 /= 24.0
             rk4 += 1.0
             nodes = values[s:s + b + 1]
             grow[0] = nodes[0]
@@ -384,12 +404,15 @@ def simulate(
                 tail = nodes[1:]
                 i = int(np.argmin(np.isfinite(tail) & (tail > 0.0)))
                 _check_node(float(tail[i]), (s + i + 1) * h)
-            # Node s + b gets its derivative here too: the last block thus
-            # fills derivs[n], and the next block recomputes the same value.
-            np.multiply(a_nodes, nodes, out=derivs[s:s + b + 1])
+            # Node s + b gets its slope here too: the last block thus fills
+            # slopes[n], and the next block recomputes the same value.
+            np.multiply(u_nodes, nodes, out=slopes[s:s + b + 1])
             s += b
 
-    return Trajectory(step=h, values=values, derivs=derivs)
+    # The slope row becomes the derivative row in place: a second array of
+    # n + 1 floats would raise the run's peak memory.
+    slopes /= h
+    return Trajectory(step=h, values=values, derivs=slopes)
 
 
 def write_csv_columns(path, header: str, first: np.ndarray, second: np.ndarray) -> None:

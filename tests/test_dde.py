@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import warnings
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hopfdual import (
     ConstantHistory,
     DelayedLookupGap,
     DomainViolation,
+    HistoryFunction,
     ModelConfig,
     NumericalError,
     NumericWrapper,
@@ -222,6 +224,99 @@ def test_sampled_history_validation():
     sh = SampledHistory(times=(-1.0, 0.0), values=(0.02, 0.02))
     with pytest.raises(ValidationError):
         sh.check_coverage(2.0)  # does not reach back to -tau
+
+
+@pytest.mark.parametrize(
+    "times, values",
+    [((-4.0, math.nan, 0.0), (0.025, 0.025, 0.02)), ((-math.inf, 0.0), (0.025, 0.02))],
+    ids=["nan", "-inf"],
+)
+def test_sampled_history_refuses_non_finite_times(times, values):
+    # a nan time passed the increasing check (every comparison with nan is
+    # false) and gave nan prices, so simulate failed later on "price nan"
+    with pytest.raises(ValidationError, match="times must be finite"):
+        SampledHistory(times=times, values=values)
+
+
+def _linear(times, values, t):
+    """Piecewise-linear interpolation at one time, one Python float at a
+    time: the reference for SampledHistory."""
+    if t <= times[0]:
+        return values[0]
+    if t >= times[-1]:
+        return values[-1]
+    j = bisect_right(times, t) - 1
+    th = (t - times[j]) / (times[j + 1] - times[j])
+    return values[j] * (1.0 - th) + values[j + 1] * th
+
+
+@dataclasses.dataclass(frozen=True)
+class _FloatOnlyHistory(HistoryFunction):
+    """A history written for one time at a time."""
+
+    inner: HistoryFunction
+
+    def __call__(self, t):
+        return self.inner(float(t))
+
+
+_prices = st.floats(1e-3, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sample_times=st.lists(st.floats(-8.0, 2.0), min_size=2, max_size=8, unique=True)
+    .map(sorted),
+    prices=st.lists(_prices, min_size=8, max_size=8),
+    sampled=st.booleans(),
+    data=st.data(),
+)
+def test_history_on_an_array_matches_history_at_each_time(sample_times, prices, sampled, data):
+    values = tuple(prices[:len(sample_times)])
+    history = (
+        SampledHistory(times=tuple(sample_times), values=values)
+        if sampled else ConstantHistory(prices[0])
+    )
+    lo, hi = sample_times[0], sample_times[-1]
+    # times before, inside, on and after the samples
+    time = st.one_of(
+        st.floats(lo - 10.0, lo),
+        st.floats(lo, hi),
+        st.sampled_from(sample_times),
+        st.floats(hi, hi + 10.0),
+    )
+    times = np.array(data.draw(st.lists(time, min_size=1, max_size=30)))
+    one_by_one = [history(t) for t in times.tolist()]
+    assert all(type(v) is float for v in one_by_one)
+    on_array = history(times)
+    assert on_array.shape == times.shape
+    assert np.array_equal(on_array, one_by_one)
+    assert np.array_equal(history(times.reshape(1, -1)), [one_by_one])
+    if sampled:
+        assert one_by_one == [_linear(sample_times, values, t) for t in times.tolist()]
+    # simulate reads early delayed prices with one call on an array of times
+    with pytest.raises(ValidationError, match="accepts a numpy array of times"):
+        simulate(reference_model(3.2), _FloatOnlyHistory(history), 1.0, 0.02)
+
+
+@pytest.mark.parametrize("step, n", [(0.03, 1000), (0.03, 105), (0.03, 106), (0.0137, 3000)])
+def test_simulate_calls_the_demand_once_per_block(step, n):
+    # tau/step is 106.67 and 233.58, so blocks of ceil(tau/step) - 2 steps:
+    # a change that shortens the blocks or calls the demand per step fails
+    calls = []
+
+    def reciprocal(p):
+        calls.append(np.shape(p))
+        return 1.0 / p
+
+    tau = 3.2
+    config = dataclasses.replace(
+        reference_model(tau), demand=NumericWrapper(func=reciprocal, domain_lo=0.0)
+    )
+    simulate(config, ConstantHistory(0.025), n * step, step)
+    block = math.ceil(tau / step) - 2
+    assert len(calls) == math.ceil(n / block)
+    assert calls[0] == (2 * min(block, n) + 1,)
 
 
 def test_constant_history_validation():
