@@ -68,6 +68,12 @@ _CONVENTION_RATIOS = {"b4": 2.0, "b8": 3.0}
 _CONVENTION_ATOL = 1e-3
 _ZERO_RTOL = 1e-8
 
+# A value below this fraction of its scale is round-off: its digits change
+# with the host's libm and numpy's SIMD code (np.exp differs by an ulp
+# between them), so the text reports print the bound in its place. --json
+# output and the CSVs keep the value.
+_ROUNDOFF = 1e-10
+
 
 def _clean(obj):
     """JSON-safe copy: dataclasses to dicts of their fields, enums to values,
@@ -130,6 +136,13 @@ def _g(x) -> str:
     if x is None:
         return "-"
     return "%.10g" % x
+
+
+def _g_above_roundoff(x, scale: float = 1.0) -> str:
+    """_g(x), or "<" and the bound where x is round-off at this scale."""
+    if x is not None and abs(x) < _ROUNDOFF * abs(scale):
+        return "<" + _g(_ROUNDOFF * abs(scale))
+    return _g(x)
 
 
 def _print(report: dict, text_lines: list[str], cfg: RunConfig) -> None:
@@ -232,7 +245,8 @@ def cmd_simulate(cfg: RunConfig, argv: list[str]) -> int:
                 estimate_cycle, traj, p_star, cfg.transient_fraction)
     if est is not None:
         lines.append(
-            f"regime: {est.regime.value}; amplitude = {_g(est.amplitude)}, "
+            f"regime: {est.regime.value}; "
+            f"amplitude = {_g_above_roundoff(est.amplitude, est.mean)}, "
             f"period = {_g(est.period) if math.isfinite(est.period) else '-'}, "
             f"mean = {_g(est.mean)} (transient cut at t = {_g(est.transient_end)})"
         )
@@ -278,8 +292,9 @@ def cmd_sweep(cfg: RunConfig, argv: list[str]) -> int:
     }
     lines = []
     for row in rows:
+        amplitude = _g_above_roundoff(row.amp_meas, row.mean_meas)
         lines.append(
-            f"tau = {_g(row.tau)}: {row.regime or '-'}, amplitude = {_g(row.amp_meas)}, "
+            f"tau = {_g(row.tau)}: {row.regime or '-'}, amplitude = {amplitude}, "
             f"period = {_g(row.period_meas)}, status = {row.status}"
         )
     lines.append(f"diagram written to {cfg.out} ({len(rows)} rows)")
@@ -363,7 +378,8 @@ def cmd_verify(cfg: RunConfig, argv: list[str]) -> int:
     for row in rows:
         lines.append(
             f"{row['name']:<5} {_g(row['closed_form']):>16} {_g(row['oracle']):>16} "
-            f"{_g(row['ratio']):>10} {_g(row['rel_diff']):>10} {row['status']}"
+            f"{_g(row['ratio']):>10} {_g_above_roundoff(row['rel_diff']):>10} "
+            f"{row['status']}"
         )
     conventions = [r["name"] for r in rows if r["status"] == "paper-convention"]
     if conventions:

@@ -1,39 +1,42 @@
 """Direct integration of the delay differential equation.
 
-Method of steps with classical fixed-step RK4: the delayed price
-p(t - tau) at each stage time is read from cubic Hermite interpolation over
-the already-computed (value, derivative) nodes, or from the initial history
-for t - tau <= 0.
+Method of steps with an exponential step: the delayed price p(t - tau) at
+the start, middle and end of each step is read from cubic Hermite
+interpolation over the already-computed (value, derivative) nodes, or from
+the initial history for t - tau <= 0.
 
-Once the delayed price is known the equation is linear in p:
-p' = a(t) p with a = k (x(p(t - tau)) - c). One RK4 step is therefore a
-growth factor, p_{n+1} = p_n R_n, where R_n depends only on the scaled
-rates u = h a (h the step) at the stage times t_n, t_n + h/2 and t_n + h
-(u0, u1 and u2): with A = u1 (2 + u0), B = u1 (4 + A) and C = u2 (4 + B), which are
-2, 4 and 4 times h/p times the second, third and fourth RK4 stages,
-R_n = 1 + (2 (2 (u0 + A) + B) + C) / 24. With lag = tau/step >= 10, the
-delayed prices of the next m = ceil(lag) - 2 steps (at least 8) all lie
-between nodes that are already computed. `simulate` advances one such
-block at a time: it evaluates the block's delayed prices at once (they
-form a half-step grid of 2m + 1 points, as the last stage time of a step
-is the first of the next), calls the demand once on that array, and takes
-the nodes as a running product of the growth factors. The node values and
-slopes h d (derivative times step) are the two rows of one array, so one
-gather at a fixed index, relative to the first node the block reads, takes
-all four Hermite inputs of a block, and no Hermite weight carries a factor
-h; the slope row is divided by h once, in place, when the run is done.
-Only the first blocks, whose points still lie in the history, gather at
-absolute, clipped indices; the history then gives those points with one
-call on the array of their times, so a HistoryFunction must take an array
-of times as well as one time. The views into the block buffers are built
-once and reused by every full block; a shorter block (the last one, or one
-cut short by a domain violation) slices them again. The block length
-follows from tau/step; it is not a setting.
+Once the delayed price is known the equation is scalar and linear in p:
+p' = a(t) p with a = k (x(p(t - tau)) - c), whose exact step is
+p_{n+1} = p_n exp(integral of a over the step) (the first Magnus term is
+the whole solution of a scalar linear equation). With the scaled rates
+u = h a (h the step) at t_n, t_n + h/2 and t_n + h (u0, u1 and u2),
+Simpson's rule gives that integral, and each step is a growth factor
+R_n = exp((u0 + 4 u1 + u2)/6), of fourth order like RK4, whose growth
+factor is only the degree-4 polynomial of this exponential. As R_n > 0, a
+price can lose positivity only by underflow to 0.0. With
+lag = tau/step >= 10, the delayed prices of the next m = ceil(lag) - 2
+steps (at least 8) all lie between nodes that are already computed.
+`simulate` advances one such block at a time: it evaluates the block's
+delayed prices at once (they form a half-step grid of 2m + 1 points, as
+the end of a step is the start of the next), calls the demand once on
+that array, and takes the nodes as a running product of the growth
+factors. The node values and slopes h d (derivative times step) are the
+two rows of one array, so one gather at a fixed index, relative to the
+first node the block reads, takes all four Hermite inputs of a block, and
+no Hermite weight carries a factor h; the slope row is divided by h once,
+in place, when the run is done. Only the first blocks, whose points still
+lie in the history, gather at absolute, clipped indices; the history then
+gives those points with one call on the array of their times, so a
+HistoryFunction must take an array of times as well as one time, and
+every price it gives must be positive and finite. The views into the
+block buffers are built once and reused by every full block; a shorter
+block (the last one, or one cut short by a domain violation) slices them
+again. The block length follows from tau/step; it is not a setting.
 
-The node derivative stored for Hermite interpolation is the RK4 first-stage
-slope, i.e. the exact right-hand side at the node, which makes the dense
-output C^1 and keeps the delayed lookups fourth-order accurate away from
-the breaking points that propagate from t = 0 at multiples of tau.
+The node derivative stored for Hermite interpolation is the exact
+right-hand side at the node, a(t_n) p_n, which makes the dense output C^1
+and keeps the delayed lookups fourth-order accurate away from the breaking
+points that propagate from t = 0 at multiples of tau.
 """
 
 from __future__ import annotations
@@ -215,6 +218,14 @@ def _check_node(p: float, t: float) -> None:
         raise PositivityLoss(t)
 
 
+def _bad_history(history: HistoryFunction, price, t: float) -> ValidationError:
+    """The error for a history price that is not positive and finite."""
+    return ValidationError(
+        f"history {type(history).__name__} gave price {float(price)!r} at t = {float(t):.6g}; "
+        "a history price must be positive and finite"
+    )
+
+
 def _memory_bytes() -> int:
     """Physical memory of this machine, or numpy's largest array size in
     bytes where the operating system does not report it."""
@@ -251,10 +262,14 @@ def simulate(
     Raises
     ------
     ValidationError
-        If the delay, step, t_end or history is invalid, or if the t_end/step + 1
-        nodes would take more bytes than the machine's physical memory.
+        If the delay, step, t_end or history is invalid, if the history
+        gives a price that is not positive and finite (the history's class
+        and the time named), or if the t_end/step + 1 nodes would take more
+        bytes than the machine's physical memory.
     PositivityLoss
-        If any computed node price is <= 0 (time reported).
+        If a computed node price underflows to 0.0 (time reported): each
+        step multiplies the price by a factor exp(...) > 0, so this is the
+        only way it leaves the positive prices.
     NumericalError
         If any computed node price is non-finite (time reported).
     DomainViolation
@@ -282,17 +297,17 @@ def simulate(
     n = int(round(steps))
     h = step
     p0 = history(0.0)
-    if p0 <= 0:
-        raise ValidationError(f"history at t = 0 must be positive, got {p0!r}")
+    if not 0.0 < p0 < math.inf:
+        raise _bad_history(history, p0, 0.0)
 
     k, c, demand = config.k, config.c, config.demand
     lag = tau / h
-    # In units of h, step i reads the delayed price at i - lag (stage 1),
-    # i + 1/2 - lag (stages 2 and 3) and i + 1 - lag (stage 4, which is
-    # stage 1 of step i + 1). For steps s .. s+b-1 these are the 2b + 1
-    # points s + q/2 - lag of a half-step grid; point q lies between nodes
-    # s + left[q] and s + left[q] + 1, with weights that depend only on q.
-    # Stage 4 of the block's last step reads up to node s + b + left[0] + 1,
+    # In units of h, step i reads the delayed price at i - lag (u0),
+    # i + 1/2 - lag (u1) and i + 1 - lag (u2, which is u0 of step i + 1).
+    # For steps s .. s+b-1 these are the 2b + 1 points s + q/2 - lag of a
+    # half-step grid; point q lies between nodes s + left[q] and
+    # s + left[q] + 1, with weights that depend only on q.
+    # The end of the block's last step reads up to node s + b + left[0] + 1,
     # so blocks of ceil(lag) - 2 steps (at least 8, as step <= tau/10) read
     # only nodes computed before the block. No block is longer than the run.
     block = min(-2 - math.floor(-lag), n)
@@ -323,19 +338,15 @@ def simulate(
     gathered = np.empty((4, 2 * block + 1))
     delayed = np.empty(2 * block + 1)
     rate = np.empty(2 * block + 1)
-    stages = np.empty((3, block))
     growth = np.empty(block + 1)
 
     def views(b):
         """Views of the block buffers for b steps: the scaled rates u at all
-        2b + 1 points and at the b + 1 nodes; u0, u1, u2 (the rates that
-        stage 1, stages 2 and 3, and stage 4 of each step read); the rows A,
-        B and C; the growth factors with the block's first node in front,
-        and without it."""
+        2b + 1 points and at the b + 1 nodes; u0, u1, u2 (the rates at the
+        start, middle and end of each step); the growth factors with the
+        block's first node in front, and without it."""
         u = rate[:2 * b + 1]
-        A, B, C = stages[:, :b]
-        return (u, u[::2], u[0:-1:2], u[1::2], u[2::2], A, B, C,
-                growth[:b + 1], growth[1:b + 1])
+        return (u, u[::2], u[0:-1:2], u[1::2], u[2::2], growth[:b + 1], growth[1:b + 1])
 
     # A full block uses these; only a shorter one slices again.
     full = views(block)
@@ -355,13 +366,18 @@ def simulate(
             np.add.reduce(gathered, axis=0, out=delayed)
             if start < 0:
                 cut = int(np.searchsorted(left, -s))
+                times = (s + half[:cut] - lag) * h
                 try:
-                    delayed[:cut] = history((s + half[:cut] - lag) * h)
+                    delayed[:cut] = history(times)
                 except (TypeError, ValueError) as exc:
                     raise ValidationError(
                         "simulate needs a history that accepts a numpy array of times "
                         f"and returns an array of their shape: {type(exc).__name__}: {exc}"
                     ) from exc
+                good = (0.0 < delayed[:cut]) & (delayed[:cut] < math.inf)
+                if not good.all():
+                    i = int(np.argmin(good))
+                    raise _bad_history(history, delayed[i], times[i])
             try:
                 x = demand.rates(delayed if b == block else delayed[:2 * b + 1])
             except DomainViolation:
@@ -374,33 +390,23 @@ def simulate(
                 if b <= 0:
                     raise
                 x = demand.rates(delayed[:2 * b + 1])
-            u, u_nodes, u0, u1, u2, A, B, C, grow, rk4 = full if b == block else views(b)
+            u, u_nodes, u0, u1, u2, grow, factors = full if b == block else views(b)
             np.subtract(x, c, out=u)
             u *= hk
-            # With g2 = 1 + u0/2, g3 = 1 + u1 g2/2 and g4 = 1 + u1 g3, the RK4
-            # stages times h/p are u0, u1 g2, u1 g3 and u2 g4; A, B and C
-            # are 2, 4 and 4 times the last three.
-            np.add(u0, 2.0, out=A)
-            A *= u1
-            np.add(A, 4.0, out=B)
-            B *= u1
-            np.add(B, 4.0, out=C)
-            C *= u2
-            # growth = 1 + (u0 + 2 u1 g2 + 2 u1 g3 + u2 g4)/6
-            #        = 1 + (2 (2 (u0 + A) + B) + C)/24, left to right
-            np.add(u0, A, out=rk4)
-            rk4 *= 2.0
-            rk4 += B
-            rk4 *= 2.0
-            rk4 += C
-            rk4 /= 24.0
-            rk4 += 1.0
+            # growth = exp((u0 + 4 u1 + u2)/6): Simpson's rule on the rates
+            np.multiply(u1, 4.0, out=factors)
+            factors += u0
+            factors += u2
+            factors /= 6.0
+            np.exp(factors, out=factors)
             nodes = values[s:s + b + 1]
             grow[0] = nodes[0]
             np.multiply.accumulate(grow, out=nodes)
-            # From a node in (0, inf), the running product stays in (0, inf)
-            # exactly when every factor is > 0 and its last node is in (0, inf).
-            if not (np.minimum.reduce(rk4) > 0.0 and 0.0 < nodes[b] < math.inf):
+            # Every factor is in [0, inf] (0 and inf where exp under- or
+            # overflows) or nan, so a running product from a node in (0, inf)
+            # that leaves (0, inf) stays out of it: 0, inf or nan times such
+            # a factor is 0, inf or nan. Its last node is then out of it too.
+            if not 0.0 < nodes[b] < math.inf:
                 tail = nodes[1:]
                 i = int(np.argmin(np.isfinite(tail) & (tail > 0.0)))
                 _check_node(float(tail[i]), (s + i + 1) * h)

@@ -43,6 +43,9 @@ class SingularJacobian(NumericalError):
 class PositivityLoss(NumericalError):
     """Simulated price reached zero or below.
 
+    `dde.simulate` multiplies the price by a positive factor each step, so
+    there it means that the price underflowed to 0.0.
+
     Attributes
     ----------
     time : float

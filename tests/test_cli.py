@@ -193,8 +193,9 @@ def test_simulate_regime_mismatch_keeps_prediction(capsys):
 
 
 def test_simulate_text_says_when_prediction_fails(capsys):
-    # Far above the onset the expansion's frequency turns negative.
-    argv = ["simulate", "--tau", "10", "--t-end", "3000", "--step", "0.1"]
+    # Far above the onset the expansion's frequency turns negative. The run
+    # is long enough for 5 cycles (period 298.85) at steps 0.1 to 0.01.
+    argv = ["simulate", "--tau", "10", "--t-end", "4000", "--step", "0.1"]
     report = _run_json(capsys, argv + ["--json"])
     assert report["estimate"]["regime"] == "limit_cycle"
     assert report["prediction"]["error"]["type"] == "ExpansionInvalid"
@@ -212,14 +213,15 @@ def _one_error_line(err: str) -> dict:
 
 
 def test_diverging_simulation_writes_one_stderr_line(capsys):
-    # The run overflows inside a block; numpy must not warn about it.
+    # The run overflows inside a block; numpy must not warn about it. Finer
+    # steps put the overflow at t = 152.4.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc, out, err = _run(capsys, ["simulate", "--tau", "100", "--t-end", "4000",
                                      "--step", "0.5"])
     assert rc == 3 and out == ""
     assert _one_error_line(err) == {
-        "type": "NumericalError", "message": "price became non-finite at t = 165",
+        "type": "NumericalError", "message": "price became non-finite at t = 152.5",
     }
 
 
@@ -588,6 +590,28 @@ def test_verify_text_table(capsys):
     assert "verify: OK" in out
     assert "paper-convention" in out
     assert out.count("\n") >= 11  # header + nine rows + note + verdict
+
+
+def test_text_reports_print_roundoff_as_a_bound(capsys, tmp_path):
+    # Digits at round-off change with the host's libm and numpy's SIMD
+    # code, so the text prints the bound; --json and the CSV keep them.
+    report = _run_json(capsys, ["verify", "--json"])
+    _, out, _ = _run(capsys, ["verify"])
+    for row, line in zip(report["coefficients"], out.splitlines()[1:]):
+        rel_diff = row["rel_diff"]
+        if rel_diff is not None and rel_diff < 1e-10:
+            assert line.split()[4] == "<1e-10", line
+    assert sum("<1e-10" in line for line in out.splitlines()) == 3  # b2, b5, b9
+    csv = tmp_path / "d.csv"
+    argv = ["sweep", "--tau-list", "2.0", "--t-end", "1000", "--step", "0.02", "--out", str(csv)]
+    _, out, _ = _run(capsys, argv)
+    assert out.splitlines()[0] == "tau = 2: equilibrium, amplitude = <2e-12, period = -, status = ok"
+    row = csv.read_text(encoding="utf-8").splitlines()[1].split(",")
+    assert 0.0 < float(row[2]) < 2e-12 and len(row[2]) > 15
+    # a value at or above the bound prints as it is
+    assert cli._g_above_roundoff(2e-12, 0.02) == "2e-12"
+    assert cli._g_above_roundoff(1.9999e-12, 0.02) == "<2e-12"
+    assert cli._g_above_roundoff(None, None) == "-"
 
 
 def test_verify_powerlaw_config(capsys, tmp_path):

@@ -24,10 +24,12 @@ from hopfdual import (
     PositivityLoss,
     PowerLaw,
     Reciprocal,
+    Regime,
     SampledHistory,
     Trajectory,
     ValidationError,
     default_step,
+    estimate_cycle,
     read_trajectory_csv,
     rhs,
     simulate,
@@ -36,15 +38,16 @@ from hopfdual import (
 
 
 def scalar_simulate(config, history, t_end, step):
-    """Reference: the method-of-steps RK4 one step at a time, as `simulate`
-    did before it advanced whole delay blocks (tau > 0 only). Returns the
+    """Reference: the method-of-steps exponential step one step at a time,
+    p_{i+1} = p_i exp(h (a0 + 4 a1 + a2)/6) with a = k (x(p(t - tau)) - c)
+    at the start, middle and end of the step (tau > 0 only). Returns the
     node values and derivatives; raises the errors `simulate` raises."""
     h, tau = step, config.tau
     n = int(round(t_end / step))
     k, c, x = config.k, config.c, config.demand.x
 
-    def f(p, p_delayed):
-        return k * p * (x(p_delayed) - c)
+    def a(p_delayed):
+        return k * (x(p_delayed) - c)
 
     def check(p, t):
         if not math.isfinite(p):
@@ -74,16 +77,14 @@ def scalar_simulate(config, history, t_end, step):
 
     for i in range(n):
         p = values[i]
-        k1 = f(p, lookup(i - lag))
-        derivs.append(k1)
-        pd1 = lookup(i + 0.5 - lag)
-        k2 = f(p + 0.5 * h * k1, pd1)
-        k3 = f(p + 0.5 * h * k2, pd1)
-        k4 = f(p + h * k3, lookup(i + 1.0 - lag))
-        p_next = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        a0 = a(lookup(i - lag))
+        derivs.append(a0 * p)
+        a1 = a(lookup(i + 0.5 - lag))
+        a2 = a(lookup(i + 1.0 - lag))
+        p_next = p * math.exp(h * (a0 + 4 * a1 + a2) / 6.0)
         check(p_next, (i + 1) * h)
         values.append(p_next)
-    derivs.append(f(values[n], lookup(n - lag)))
+    derivs.append(a(lookup(n - lag)) * values[n])
     return np.array(values), np.array(derivs)
 
 
@@ -119,7 +120,7 @@ ORACLE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_block_integrator_matches_scalar_loop(case):
-    # the growth-factor form reorders the RK4 arithmetic, so agreement is
+    # the block form reorders the arithmetic of the step, so agreement is
     # to round-off accumulated over the run, not bit for bit
     config, history, t_end, step = ORACLE_CASES[case]
     traj = simulate(config, history, t_end, step)
@@ -165,6 +166,22 @@ def test_step_halving_agreement(run_tau32):
     fine = simulate(model, ConstantHistory(0.025), t_end=5000.0, step=0.005)
     diff = np.max(np.abs(run_tau32.values - fine.values[::2]))
     assert float(diff) < 1e-6
+
+
+def test_amplitude_converges_far_from_onset():
+    # At tau = 10 (about 3.2 tau0) the price swings over 57 orders of
+    # magnitude. Halving the step from 0.02 moves the measured amplitude by
+    # 1.6e-7 relative and the period by 1.8e-8 (RK4 moved them by 2.6e-2
+    # and 1.7e-4). The bounds leave a factor of about 6.
+    runs = [
+        estimate_cycle(simulate(reference_model(10.0), ConstantHistory(0.025), 4000.0, h), 0.02)
+        for h in (0.02, 0.01)
+    ]
+    coarse, fine = runs
+    assert coarse.regime is fine.regime is Regime.LIMIT_CYCLE
+    assert fine.amplitude > 1e57
+    assert coarse.amplitude == pytest.approx(fine.amplitude, rel=1e-6)
+    assert coarse.period == pytest.approx(fine.period, rel=1e-7)
 
 
 def test_nodes_satisfy_the_equation():
@@ -299,6 +316,27 @@ def test_history_on_an_array_matches_history_at_each_time(sample_times, prices, 
         simulate(reference_model(3.2), _FloatOnlyHistory(history), 1.0, 0.02)
 
 
+@dataclasses.dataclass(frozen=True)
+class _GapHistory(HistoryFunction):
+    """0.02 everywhere but nan on [lo, hi]."""
+
+    lo: float
+    hi: float
+
+    def __call__(self, t):
+        return np.where((self.lo <= t) & (t <= self.hi), math.nan, 0.02)
+
+
+@pytest.mark.parametrize("lo, hi, t", [(-0.5, 1.0, "0"), (-2.0, -1.0, "-2")],
+                         ids=["at-zero", "in-array-call"])
+def test_simulate_refuses_a_nan_history_price(lo, hi, t):
+    # a nan at t = 0 passed `p0 <= 0`, and one in an early block's array
+    # call reached the demand; both failed later on "price nan"
+    with pytest.raises(ValidationError,
+                       match=rf"^history _GapHistory gave price nan at t = {t}; "):
+        simulate(reference_model(3.2), _GapHistory(lo, hi), 10.0, 0.02)
+
+
 @pytest.mark.parametrize("step, n", [(0.03, 1000), (0.03, 105), (0.03, 106), (0.0137, 3000)])
 def test_simulate_calls_the_demand_once_per_block(step, n):
     # tau/step is 106.67 and 233.58, so blocks of ceil(tau/step) - 2 steps:
@@ -361,49 +399,46 @@ def test_simulate_memory_bound_is_exact(monkeypatch):
         simulate(model, hist, t_end=2.02, step=0.02)
 
 
+# Far from equilibrium a delayed price of 1e3 against p* = 0.02 gives the
+# rate h k (x - c) = -5000 over a whole step: its growth factor underflows
+# to 0.0, the one way an exponential step loses positivity.
+def _underflow_model():
+    return ModelConfig(k=100.0, c=C, tau=10.0, demand=Reciprocal(w=1.0))
+
+
 def test_positivity_loss_reports_time():
-    # a history whipsawing around equilibrium hard enough drives one RK4
-    # update factor negative: stage rates -2, +2, +2, -4 give 1 - 10/6 < 0
-    model = dataclasses.replace(reference_model(10.0), k=1.0)
-    hist = SampledHistory(
-        times=(-10.0, -9.5, -9.0, 0.0),
-        values=(1.0 / 48.0, 1.0 / 52.0, 1.0 / 46.0, 1.0 / 46.0),
-    )
     with pytest.raises(PositivityLoss) as excinfo:
-        simulate(model, hist, t_end=10.0, step=1.0)
-    assert excinfo.value.time == pytest.approx(1.0, abs=1e-12)
+        simulate(_underflow_model(), ConstantHistory(1e3), t_end=10.0, step=1.0)
+    assert excinfo.value.time == 1.0
     assert "positive" in str(excinfo.value).lower()
 
 
 def test_positivity_loss_mid_block_reports_node_time():
-    # lag = 10 steps, so steps 0-7 form the first block; only step 4 reads
-    # the whipsaw (stage rates -2, +2, +2, -4), so node t = 5 goes negative
+    # lag = 10 steps, so steps 0-7 form the first block; only steps 3 and 4
+    # read the spike, and the end of step 3 underflows node t = 4 to 0.0
     # while the nodes after it in the same block are computed too
-    model = dataclasses.replace(reference_model(10.0), k=1.0)
     hist = SampledHistory(
         times=(-10.0, -6.5, -6.0, -5.5, -5.0, 0.0),
-        values=(0.02, 0.02, 1.0 / 48.0, 1.0 / 52.0, 1.0 / 46.0, 1.0 / 46.0),
+        values=(0.02, 0.02, 1e3, 1e3, 0.02, 0.02),
     )
     for run in (simulate, scalar_simulate):
         with pytest.raises(PositivityLoss) as excinfo:
-            run(model, hist, 10.0, 1.0)
-        assert excinfo.value.time == 5.0
+            run(_underflow_model(), hist, 10.0, 1.0)
+        assert excinfo.value.time == 4.0
 
 
-def test_positivity_loss_before_a_sign_flip_back_reports_node_time():
-    # as above, plus a second whipsaw read by step 6: its negative factor
-    # turns node 7 and the block's last node 8 positive again, yet node 5
-    # is still where the run fails
-    model = dataclasses.replace(reference_model(10.0), k=1.0)
+def test_positivity_loss_before_the_product_turns_nan_reports_node_time():
+    # as above, plus a dip to 1e-6 read by step 6: its factor overflows to
+    # inf, so node 7 and the block's last node 8 are 0 inf = nan, yet the
+    # run fails at node 4 with PositivityLoss, not with a non-finite price
     hist = SampledHistory(
         times=(-10.0, -6.5, -6.0, -5.5, -5.0, -4.0, -3.5, -3.0, 0.0),
-        values=(0.02, 0.02, 1.0 / 48.0, 1.0 / 52.0, 1.0 / 46.0,
-                1.0 / 48.0, 1.0 / 52.0, 1.0 / 46.0, 1.0 / 46.0),
+        values=(0.02, 0.02, 1e3, 1e3, 0.02, 0.02, 1e-6, 0.02, 0.02),
     )
     for run in (simulate, scalar_simulate):
         with pytest.raises(PositivityLoss) as excinfo:
-            run(model, hist, 10.0, 1.0)
-        assert excinfo.value.time == 5.0
+            run(_underflow_model(), hist, 10.0, 1.0)
+        assert excinfo.value.time == 4.0
 
 
 def test_domain_violation_matches_scalar_loop():
