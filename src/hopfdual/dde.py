@@ -421,13 +421,26 @@ def simulate(
     return Trajectory(step=h, values=values, derivs=slopes)
 
 
+# Rows formatted per write: the writer's memory is bounded by one chunk's
+# text and floats, whatever the length of the columns.
+CSV_CHUNK_ROWS = 8192
+
+
 def write_csv_columns(path, header: str, first: np.ndarray, second: np.ndarray) -> None:
     """Write two float columns under `header` as comma-separated rows with
-    17 significant digits, which reproduce every double exactly."""
-    values = tuple(np.column_stack((first, second)).ravel().tolist())
+    17 significant digits, which reproduce every double exactly.
+
+    Raises ValidationError, before the file is opened, when the columns
+    differ in length.
+    """
+    n = len(first)
+    if len(second) != n:
+        raise ValidationError(f"{path}: columns of {n} and {len(second)} rows")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        fh.write(("%.17g,%.17g\n" * len(first)) % values)
+        for i in range(0, n, CSV_CHUNK_ROWS):
+            rows = np.column_stack((first[i:i + CSV_CHUNK_ROWS], second[i:i + CSV_CHUNK_ROWS]))
+            fh.write(("%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
