@@ -183,7 +183,11 @@ class Trajectory:
 
     @property
     def t(self) -> np.ndarray:
-        return self.step * np.arange(len(self.values))
+        # A float arange scaled in place: 8 bytes a node, where an int
+        # arange and its product would peak at 16.
+        t = np.arange(len(self.values), dtype=float)
+        t *= self.step
+        return t
 
     def at(self, time: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         """Dense output by cubic Hermite interpolation at arbitrary times."""
@@ -264,8 +268,9 @@ def simulate(
     ValidationError
         If the delay, step, t_end or history is invalid, if the history
         gives a price that is not positive and finite (the history's class
-        and the time named), or if the t_end/step + 1 nodes would take more
-        bytes than the machine's physical memory.
+        and the time named), if the t_end/step + 1 nodes would take more
+        bytes than the machine's physical memory, or if tau/step is not
+        below 2**63 (an overflow to inf included).
     PositivityLoss
         If a computed node price underflows to 0.0 (time reported): each
         step multiplies the price by a factor exp(...) > 0, so this is the
@@ -294,6 +299,12 @@ def simulate(
             f"t_end/step = {steps:.4g} steps need {16.0 * (steps + 1.0):.4g} bytes "
             f"for the trajectory, more than this machine's {memory} bytes of memory"
         )
+    # Node indices run down to about -tau/step and are int64.
+    lag = tau / step
+    if not lag < 2.0**63:
+        raise ValidationError(
+            f"tau/step = {lag:.4g} must be below 2**63, the range of node indices"
+        )
     n = int(round(steps))
     h = step
     p0 = history(0.0)
@@ -301,7 +312,6 @@ def simulate(
         raise _bad_history(history, p0, 0.0)
 
     k, c, demand = config.k, config.c, config.demand
-    lag = tau / h
     # In units of h, step i reads the delayed price at i - lag (u0),
     # i + 1/2 - lag (u1) and i + 1 - lag (u2, which is u0 of step i + 1).
     # For steps s .. s+b-1 these are the 2b + 1 points s + q/2 - lag of a

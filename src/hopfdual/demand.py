@@ -139,10 +139,12 @@ class NumericWrapper(DemandFunction):
     `np.exp(-p)`) does all three; one that accepts floats only
     (`math.exp`) raises ValidationError on arrays. It must be analytic on
     the disk around the price whose radius is a quarter of the room to the
-    nearer domain bound. `derivatives` picks one radius per price
-    (numdiff.radius) and takes all three derivatives from one circle of
-    that radius (numdiff.derivative); they feed only
-    model.taylor_coefficients. The equilibrium solver evaluates x alone.
+    nearer domain bound. `derivatives` probes circles around the price
+    until one passes (numdiff.circle, the one sampler of a circle, one
+    call of `func` per circle) and takes all three derivatives from the
+    samples on the circle it accepted (numdiff.derivative, which does not
+    call `func` again); they feed only model.taylor_coefficients. The
+    equilibrium solver evaluates x alone.
     """
 
     func: Callable[[float], float]
@@ -169,7 +171,7 @@ class NumericWrapper(DemandFunction):
         return self.func(z)
 
     def derivatives(self, p: float) -> tuple[float, float, float]:
-        return numdiff.derivative(self.func, p, numdiff.radius(self.func, p, self.lo, self.hi))
+        return numdiff.derivative(*numdiff.circle(self.func, p, self.lo, self.hi))
 
 
 FAMILIES = {"reciprocal", "powerlaw"}

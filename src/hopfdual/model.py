@@ -247,7 +247,7 @@ def numeric_taylor_oracle(config: ModelConfig, eq: Equilibrium) -> TaylorCoeffic
     coefficients of u^i v^j in its expansion at the origin (b4 is the uv
     coefficient, b8 the uv^2 coefficient, etc.). F is evaluated through
     demand.x_complex on one torus (numdiff.mixed_partial) whose two radii
-    are the one that numdiff.radius picks from the demand curve around p*;
+    are the one that numdiff.circle picks from the demand curve around p*;
     all nine b_i are entries of its table. Reporting-only: the verify
     command compares these against the canonical closed forms.
     """
@@ -260,7 +260,7 @@ def numeric_taylor_oracle(config: ModelConfig, eq: Equilibrium) -> TaylorCoeffic
         return k * (u + p_star) * (demand.x_complex(v + p_star) - c)
 
     # the u circle never touches the demand curve but shares its radius
-    s = numdiff.radius(demand.x_complex, p_star, demand.lo, demand.hi)
+    s, _ = numdiff.circle(demand.x_complex, p_star, demand.lo, demand.hi)
     t = numdiff.mixed_partial(F, s, s).tolist()
     return TaylorCoefficients(
         b1=t[1][0], b2=t[0][1], b3=t[2][0], b4=t[1][1], b5=t[0][2],

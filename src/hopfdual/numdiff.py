@@ -10,19 +10,22 @@ of |f| on the circle; there is no step sequence to extrapolate. Two
 variables use a torus of 8 x 32 points in the same way.
 
 The radius trades aliasing against round-off, which grows like |f| / r^n.
-`radius` picks it once per expansion point, in the spirit of Bornemann
+`circle` picks it once per expansion point, in the spirit of Bornemann
 (Found. Comput. Math. 11, 2011): a quarter of the room to the nearer domain
-bound, halved until |f| varies by at most a factor 100 on the circle. It is
-the only function that picks a radius or checks the domain; `derivative`
-and `mixed_partial` take the radius as given.
+bound, halved until |f| varies by at most a factor 100 on the circle. It
+returns that radius together with f's samples on the circle it accepted,
+and it is the one sampler of a circle: the only function that picks a
+radius or checks the domain. `derivative` is arithmetic on those samples
+and never calls f; `mixed_partial` takes its radii as given.
 
 Contract: f accepts a complex numpy array and returns an array of its
 shape (or a scalar); a callable that accepts only floats raises
-ValidationError. The functions are pure: a call of `derivative` or
-`mixed_partial` samples f once and returns every order that its circle or
-torus holds, and nothing is kept between calls. A value is the real part
-of its sum, and a sum below the round-off of the sums gives exactly 0.0,
-as a polynomial of degree below the order does.
+ValidationError. The functions are pure: `derivative` returns every order
+that one circle's samples hold, a call of `mixed_partial` samples f once
+and returns every order that its torus holds, and nothing is kept between
+calls. A value is the real part of its sum, and a sum below the round-off
+of the sums gives exactly 0.0, as a polynomial of degree below the order
+does.
 """
 
 from __future__ import annotations
@@ -87,8 +90,11 @@ def _reach(x: float, lo: float | None, hi: float | None) -> float:
     return 0.25 * room
 
 
-def radius(f: Callable, x: float, lo: float | None = None, hi: float | None = None) -> float:
-    """Circle radius for derivatives of f at x.
+def circle(
+    f: Callable, x: float, lo: float | None = None, hi: float | None = None
+) -> tuple[float, np.ndarray]:
+    """Radius r of a circle for derivatives of f at x, and f's samples on
+    it, at the points x + r w^k.
 
     Starts at a quarter of the scale of x, at most a quarter of the room to
     the nearer of the open domain bounds lo and hi, and halves it until
@@ -100,26 +106,27 @@ def radius(f: Callable, x: float, lo: float | None = None, hi: float | None = No
     for _ in range(_HALVINGS):
         # numpy warnings off: overflow on a wide circle only shrinks it
         with np.errstate(all="ignore"):
-            size = np.absolute(_values(f, _CIRCLE.shape, x + r * _CIRCLE))
+            samples = _values(f, _CIRCLE.shape, x + r * _CIRCLE)
+            size = np.absolute(samples)
             # nan and inf fail the test, so the circle shrinks past them too
             if size.max() <= _SPREAD * size.min() < math.inf:
-                return r
+                return r, samples
         r *= 0.5
     raise NumericalError(
         f"|f| varies by more than a factor {_SPREAD:g} on every circle around {x!r}"
     )
 
 
-def derivative(f: Callable, x: float, r: float) -> tuple[float, float, float]:
-    """(f'(x), f''(x), f'''(x)) from one array call of f on the circle of
-    radius r around x.
+def derivative(r: float, samples: np.ndarray) -> tuple[float, float, float]:
+    """(f'(x), f''(x), f'''(x)) from f's samples on the circle of radius r
+    around x, as `circle` returns them; f is not called.
 
     f must be analytic on the disk of radius r around x (see the module
-    docstring); `radius` picks an r.
+    docstring).
     """
     # numpy warnings off: a sum that is not finite raises NumericalError
     with np.errstate(all="ignore"):
-        c = _real_parts(_TWIDDLE @ _values(f, _CIRCLE.shape, x + r * _CIRCLE)).tolist()
+        c = _real_parts(_TWIDDLE @ samples).tolist()
     return c[1] / r, 2 * c[2] / r**2, 6 * c[3] / r**3
 
 

@@ -210,6 +210,17 @@ def test_sweep_keeps_going_past_failed_rows():
     assert rows[0].amp_meas is None
 
 
+def test_sweep_reports_an_overflowing_lag_in_its_row():
+    # tau/step overflows at 1e308: that row names ValidationError, and the
+    # row before it still runs
+    model = reference_model(0.0)
+    rows = sweep(model, [1e308, 3.0], t_end=1500.0, step=0.02)
+    assert [row.tau for row in rows] == [3.0, 1e308]
+    assert rows[0].status == "ok" and rows[0].regime == "equilibrium"
+    assert rows[1].status == "ValidationError"
+    assert rows[1].regime == "" and rows[1].amp_meas is None
+
+
 def test_sweep_validation(monkeypatch):
     # every bad argument is refused before any delay is integrated
     def no_simulation(*args):

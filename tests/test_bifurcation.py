@@ -71,6 +71,12 @@ def test_nonnegative_b2_rejected():
         linear_analysis(_coeffs_with_b2(0.25))
 
 
+@pytest.mark.parametrize("n_critical", [0, -1])
+def test_n_critical_below_one_rejected(coeffs, n_critical):
+    with pytest.raises(ValidationError, match="n_critical must be >= 1"):
+        linear_analysis(coeffs, n_critical=n_critical)
+
+
 def test_stability_verdicts(linear):
     assert is_locally_stable(linear, 3.0) is StabilityVerdict.STABLE
     assert is_locally_stable(linear, 0.0) is StabilityVerdict.STABLE

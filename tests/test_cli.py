@@ -370,6 +370,15 @@ def test_simulate_too_many_nodes_exits_2(capsys, argv):
     assert "bytes of memory" in payload["error"]["message"]
 
 
+def test_simulate_overflowing_lag_exits_2(capsys):
+    rc, out, err = _run(capsys, ["simulate", "--tau", "1e308", "--t-end", "1"])
+    assert rc == 2
+    assert out == ""
+    payload = _one_error_line(err)
+    assert payload["type"] == "ValidationError"
+    assert payload["message"].startswith("tau/step = inf must be below 2**63")
+
+
 def test_predict_json_reference(capsys):
     report = _run_json(capsys, ["predict", "--tau", "3.2", "--json"])
     pred = report["prediction"]

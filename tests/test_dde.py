@@ -390,6 +390,14 @@ def test_simulate_rejects_nodes_beyond_memory(tau, t_end, step):
         simulate(reference_model(tau), ConstantHistory(0.02), t_end=t_end, step=step)
 
 
+@pytest.mark.parametrize("tau", [1e308, 1e300, 1e20])
+def test_simulate_refuses_a_lag_beyond_the_node_indices(tau):
+    # tau/step overflows to inf at 1e308; at 1e300 and 1e20 it is finite
+    # but beyond the int64 node indices, which numpy would cast with a warning
+    with pytest.raises(ValidationError, match=r"tau/step = .* must be below 2\*\*63"):
+        simulate(reference_model(tau), ConstantHistory(0.02), t_end=1.0, step=0.05)
+
+
 def test_simulate_memory_bound_is_exact(monkeypatch):
     # Pretend the machine holds exactly the 101 nodes of 100 steps.
     monkeypatch.setattr(dde, "_memory_bytes", lambda: 16 * 101)
@@ -586,9 +594,9 @@ def test_trajectory_csv_matches_rowwise_writer(tmp_path, make):
 
 
 # Traced peak above the trajectory handed in, measured at 1.3 MB for
-# 4 chunks and 5.3 MB for 40 (the whole-file writer it replaced: 4.6 and
-# 46.5 MB). What grows with length is the t column, 16 bytes a node while
-# `Trajectory.t` builds it; the chunk's floats and text take the rest.
+# 4 chunks and 3.8 MB for 40 (the whole-file writer it replaced: 4.6 and
+# 46.5 MB). What grows with length is the t column, 8 bytes a node;
+# the chunk's floats and text take the rest.
 WRITER_PEAK_BOUND = 8e6
 
 
@@ -603,6 +611,12 @@ def test_trajectory_csv_writer_memory_is_bounded(tmp_path, chunks):
     finally:
         tracemalloc.stop()
     assert peak < WRITER_PEAK_BOUND
+
+
+def test_trajectory_times_are_step_times_node_index():
+    traj = cubic_trajectory(1001)
+    assert np.array_equal(traj.t, 0.013 * np.arange(1001))
+    assert traj.t.dtype == np.float64
 
 
 def test_csv_writer_refuses_mismatched_columns_before_opening(tmp_path):

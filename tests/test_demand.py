@@ -25,7 +25,7 @@ from hopfdual import (
     make_demand,
     simulate,
 )
-from hopfdual.numdiff import derivative, radius
+from hopfdual.numdiff import circle, derivative
 
 
 def test_reciprocal_values_and_derivatives():
@@ -49,7 +49,7 @@ def test_powerlaw_alpha_one_equals_reciprocal():
 def test_powerlaw_derivatives_match_finite_differences():
     d = PowerLaw(w=1.3, alpha=2.5)
     for p in (0.3, 1.1):
-        jet = derivative(d.x_complex, p, radius(d.x_complex, p, 0.0))
+        jet = derivative(*circle(d.x_complex, p, 0.0))
         for order, (approx, exact) in enumerate(zip(jet, d.derivatives(p)), start=1):
             assert approx == pytest.approx(exact, rel=1e-6), (p, order)
 
@@ -73,18 +73,36 @@ def test_numeric_wrapper_matches_analytic_reciprocal():
 
 @pytest.mark.parametrize("domain_hi, hi", [(math.inf, None), (0.04, 0.04)])
 def test_numeric_wrapper_derivatives_are_ridders_derivatives(domain_hi, hi):
-    """derivatives(p) is the numdiff.derivative jet at the radius
-    numdiff.radius picks, bit for bit; this curve keeps the default radius,
-    and an infinite upper bound acts as no bound."""
+    """derivatives(p) is the numdiff.derivative jet of the circle
+    numdiff.circle accepts, bit for bit; this curve keeps the default
+    radius, and an infinite upper bound acts as no bound."""
 
     def func(p):
         return (2.0 / p) ** 0.7
 
     wrap = NumericWrapper(func=func, domain_lo=0.0, domain_hi=domain_hi)
     p = 0.021
-    r = radius(func, p, 0.0, hi)
+    r, samples = circle(func, p, 0.0, hi)
     assert r == 0.25 * min(p, domain_hi - p)
-    assert wrap.derivatives(p) == derivative(func, p, r)
+    assert wrap.derivatives(p) == derivative(r, samples)
+
+
+def test_numeric_wrapper_calls_the_demand_once_per_circle():
+    # x ~ p^-30 at 0.04: the radius halves twice from a quarter of p, one
+    # demand call per circle, and the jet reads the samples of the last one
+    prices = []
+
+    def func(p):
+        prices.append(p)
+        return (2.0 / p) ** 30
+
+    p = 0.04
+    d1, d2, d3 = NumericWrapper(func=func).derivatives(p)
+    radii = [abs(z[0] - p) / p for z in prices]
+    assert radii == pytest.approx([0.25, 0.125, 0.0625], rel=1e-12)
+    x = (2.0 / p) ** 30
+    assert d1 == pytest.approx(-30.0 * x / p, rel=1e-10)
+    assert d3 == pytest.approx(-30.0 * 31.0 * 32.0 * x / p**3, rel=1e-10)
 
 
 def test_numeric_wrapper_refuses_negative_prices():

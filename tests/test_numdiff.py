@@ -1,6 +1,6 @@
 """Cauchy-integral jets: closed forms, the full FFT table of the same
 samples, exact zeros, the radius guard, non-finite samples, one sampling
-per call and the errors."""
+per circle and the errors."""
 
 import math
 import warnings
@@ -9,7 +9,17 @@ import numpy as np
 import pytest
 
 from hopfdual.errors import DomainViolation, NumericalError, ValidationError
-from hopfdual.numdiff import derivative, mixed_partial, radius
+from hopfdual.numdiff import circle, derivative, mixed_partial
+
+# The 32 points of a Cauchy circle are x + r w^k for the 32nd roots of unity w^k.
+ROOTS = np.exp(2j * np.pi * np.arange(32) / 32)
+
+
+def _on_circle(f, x, r):
+    """(r, f's samples on the circle of radius r around x), for a radius
+    that `circle` does not pick; numpy warnings off, as in `circle`."""
+    with np.errstate(all="ignore"):
+        return r, np.asarray(f(x + r * ROOTS), dtype=complex)
 
 
 def _power(a):
@@ -38,7 +48,7 @@ CLOSED_FORMS = {
 def test_derivatives_match_closed_forms(name):
     f, exact, r = CLOSED_FORMS[name]
     for x in (0.02, 0.3, 1.0, 2.5, 40.0):
-        jet = derivative(f, x, r or radius(f, x))
+        jet = derivative(*(_on_circle(f, x, r) if r else circle(f, x)))
         for order, got in enumerate(jet, start=1):
             want = exact(x, order)
             assert abs(got - want) <= 1e-13 * abs(want), (x, order)
@@ -72,13 +82,15 @@ def test_derivative_orders_match_full_tableau(order, bounds):
     # the radius from 0.225 to 0.1, which raises the round-off of order 3,
     # a few eps of |f| / (|f'''| r^3 / 6), to 1e-13
     f, exact = _power(0.7)
-    r = radius(f, 0.9, *bounds)
-    assert r == (0.225 if bounds[1] is None else 0.1)
     f, calls = _recorded(f)
-    got = derivative(f, 0.9, r)[order - 1]
+    r, samples = circle(f, 0.9, *bounds)
+    assert r == (0.225 if bounds[1] is None else 0.1)
+    got = derivative(r, samples)[order - 1]
+    # the first circle passes, and the jet samples nothing more
     assert len(calls) == 1
     (points,), values = calls[0]
     assert abs(points[0] - (0.9 + r)) < 1e-15
+    assert (samples == values).all()
     scale = math.factorial(order) / r**order
     table, roundoff = _full_tableau(values, scale)
     assert abs(got - scale * table[order].real) <= roundoff
@@ -136,12 +148,12 @@ def test_polynomials_below_the_order_give_exact_zeros(x):
     line = lambda p: 100.0 - 2500.0 * p  # noqa: E731
     parabola = lambda p: 3.0 - p * p  # noqa: E731
     r = 0.25 * x
-    d1, d2, d3 = derivative(line, x, r)
+    d1, d2, d3 = derivative(*_on_circle(line, x, r))
     assert (d2, d3) == (0.0, 0.0)
     assert d1 == pytest.approx(-2500.0, rel=1e-13)
-    d1, d2, d3 = derivative(parabola, x, r)
+    d1, d2, d3 = derivative(*_on_circle(parabola, x, r))
     assert d3 == 0.0
-    assert derivative(lambda p: 7.5 + 0.0 * p, x, r) == (0.0, 0.0, 0.0)
+    assert derivative(*_on_circle(lambda p: 7.5 + 0.0 * p, x, r)) == (0.0, 0.0, 0.0)
     # the orders that are not zero stay, to their round-off of about eps |f| / r^n
     assert d2 == pytest.approx(-2.0, rel=1e-9)
     assert d1 == pytest.approx(-2.0 * x, rel=1e-9)
@@ -158,19 +170,19 @@ def test_polynomials_below_the_order_give_exact_zeros(x):
 def test_radius_guard_shrinks_the_circle_for_steep_functions():
     b = 100.0
     f, exact = _power(b)
-    r = radius(f, 1.0)
+    r, samples = circle(f, 1.0)
     # a quarter of 1, halved four times: max|f| / min|f| on the circle is
     # ((1 + r)/(1 - r))^100, about 520 at r = 1/32 and 23 at r = 1/64
     assert r == 0.25 / 16
-    jet, wide = derivative(f, 1.0, r), derivative(f, 1.0, 0.25)
+    jet, wide = derivative(r, samples), derivative(*_on_circle(f, 1.0, 0.25))
     for order in (1, 2, 3):
         want = exact(1.0, order)
         assert abs(jet[order - 1] - want) <= 1e-13 * abs(want)
         # on the widest circle radius tries, aliasing swamps the result
         assert abs(wide[order - 1] - want) > abs(want)
     # a gentle function keeps the default radius, cut to a quarter of the room
-    assert radius(lambda p: 1.0 / p, 0.9) == 0.225
-    assert radius(lambda p: 1.0 / p, 0.9, lo=0.0, hi=1.3) == 0.1
+    assert circle(lambda p: 1.0 / p, 0.9)[0] == 0.225
+    assert circle(lambda p: 1.0 / p, 0.9, lo=0.0, hi=1.3)[0] == 0.1
 
 
 def test_radius_shrinks_past_overflow_without_numpy_warnings():
@@ -179,13 +191,13 @@ def test_radius_shrinks_past_overflow_without_numpy_warnings():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        r = radius(f, 1.0)
+        r, samples = circle(f, 1.0)
         assert r < 0.25
-        assert derivative(f, 1.0, r)[0] == pytest.approx(-200.0 * math.exp(200.0), rel=1e-12)
+        assert derivative(r, samples)[0] == pytest.approx(-200.0 * math.exp(200.0), rel=1e-12)
         with pytest.raises(NumericalError, match="factor 100"):
-            radius(lambda p: np.exp(2000.0 / p), 1.0)
+            circle(lambda p: np.exp(2000.0 / p), 1.0)
         with pytest.raises(NumericalError, match="not finite"):
-            derivative(lambda p: np.exp(2000.0 / p), 1.0, 0.25)
+            derivative(*_on_circle(lambda p: np.exp(2000.0 / p), 1.0, 0.25))
         with pytest.raises(NumericalError, match="not finite"):
             mixed_partial(lambda u, v: np.full(np.broadcast(u, v).shape, np.nan), 0.1, 0.1)
 
@@ -202,19 +214,20 @@ def test_ridders_non_finite_small_steps(bad):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert radius(narrow_bad, 1.0) == 0.25
-        assert derivative(narrow_bad, 1.0, 0.25)[1] == pytest.approx(2.0, rel=1e-13)
+        r, samples = circle(narrow_bad, 1.0)
+        assert r == 0.25
+        assert derivative(r, samples)[1] == pytest.approx(2.0, rel=1e-13)
         with pytest.raises(NumericalError, match="not finite"):
-            derivative(narrow_bad, 1.0, 0.05)
+            derivative(*_on_circle(narrow_bad, 1.0, 0.05))
         # bad on wide circles only: the guard halves past them
-        r = radius(wide_bad, 1.0)
+        r, samples = circle(wide_bad, 1.0)
         assert r == 0.0625
-        assert derivative(wide_bad, 1.0, r)[2] == pytest.approx(-6.0, rel=1e-13)
+        assert derivative(r, samples)[2] == pytest.approx(-6.0, rel=1e-13)
         with pytest.raises(NumericalError, match="not finite"):
-            derivative(wide_bad, 1.0, 0.25)
+            derivative(*_on_circle(wide_bad, 1.0, 0.25))
         # bad from the widest circle to the narrowest
         with pytest.raises(NumericalError, match="factor 100"):
-            radius(lambda p: np.full(p.shape, bad), 1.0)
+            circle(lambda p: np.full(p.shape, bad), 1.0)
         with pytest.raises(NumericalError, match="not finite"):
             mixed_partial(lambda u, v: np.full(np.broadcast(u, v).shape, bad), 0.1, 0.1)
 
@@ -226,7 +239,7 @@ def test_ridders_safe_stop_and_full_run():
     def radii(f):
         f, calls = _recorded(f)
         try:
-            radius(f, 1.0)
+            circle(f, 1.0)
         except NumericalError:
             pass
         return [abs(points[0] - 1.0) for (points,), _ in calls]
@@ -238,38 +251,40 @@ def test_ridders_safe_stop_and_full_run():
 
 
 def test_orders_at_one_point_sample_once():
-    # one call of f gives all three orders; nothing is kept between calls,
-    # so the same call again samples again and gives the same jet
+    # one call of f on the accepted circle gives all three orders, and the
+    # jet does not call f; nothing is kept between calls, so circle again
+    # samples again and gives the same jet
     calls = []
 
     def f(p):
         calls.append(p.shape)
         return 1.0 / p
 
-    r = radius(f, 0.5)
+    r, samples = circle(f, 0.5)
     assert calls == [(32,)]
-    jet = derivative(f, 0.5, r)
+    jet = derivative(r, samples)
+    assert calls == [(32,)]
+    assert derivative(*circle(f, 0.5)) == jet == derivative(*circle(lambda p: 1.0 / p, 0.5))
     assert calls == [(32,)] * 2
-    assert derivative(f, 0.5, r) == jet == derivative(lambda p: 1.0 / p, 0.5, r)
-    assert calls == [(32,)] * 3
 
     def g(u, v):
         calls.append(np.broadcast(u, v).shape)
         return (u + 1.0) / (2.0 + v)
 
     table = mixed_partial(g, 0.1, 0.2)
-    assert calls[3:] == [(8, 32)]
+    assert calls[2:] == [(8, 32)]
     assert (mixed_partial(g, 0.1, 0.2) == table).all()
-    assert calls[3:] == [(8, 32)] * 2
+    assert calls[2:] == [(8, 32)] * 2
 
 
 def test_unsupported_orders_raise():
     # the jets have fixed orders: no order is asked for, so none can be
     # unsupported, and an order passed as before is refused
-    assert len(derivative(np.sin, 0.3, 0.1)) == 3
+    r, samples = _on_circle(np.sin, 0.3, 0.1)
+    assert len(derivative(r, samples)) == 3
     assert mixed_partial(lambda u, v: u * v, 0.1, 0.1).shape == (4, 4)
     with pytest.raises(TypeError):
-        derivative(np.sin, 0.3, 0.1, 4)
+        derivative(r, samples, 4)
     with pytest.raises(TypeError):
         mixed_partial(lambda u, v: u * v, 2, 2, 0.1, 0.1)
 
@@ -277,7 +292,7 @@ def test_unsupported_orders_raise():
 @pytest.mark.parametrize("x, lo, hi", [(0.0, 0.0, None), (-1.0, 0.0, 2.0), (2.0, None, 2.0),
                                        (math.nan, 0.0, None)])
 def test_points_outside_the_domain_raise(x, lo, hi):
-    # radius is the one place that checks the domain; it raises before any
+    # circle is the one place that checks the domain; it raises before any
     # call of f
     calls = []
 
@@ -286,14 +301,15 @@ def test_points_outside_the_domain_raise(x, lo, hi):
         return 1.0 / p
 
     with pytest.raises(DomainViolation, match="outside domain"):
-        radius(f, x, lo, hi)
+        circle(f, x, lo, hi)
     assert calls == []
 
 
 def test_scalar_only_callable_names_the_complex_array_contract():
+    # circle and mixed_partial are the two places that call f
     with pytest.raises(ValidationError, match="accepts complex numpy arrays"):
-        derivative(lambda p: math.exp(-p), 1.0, 0.25)
+        circle(lambda p: math.exp(-p), 1.0)
     with pytest.raises(ValidationError, match="accepts complex numpy arrays"):
-        radius(lambda p: float(p), 1.0)
+        circle(lambda p: float(p), 1.0)
     with pytest.raises(ValidationError, match="accepts complex numpy arrays"):
         mixed_partial(lambda u, v: math.exp(u) * v, 0.1, 0.1)
