@@ -34,6 +34,14 @@ DRIFT_TOLERANCE = 0.01
 MIN_CYCLES = 5
 PERIOD_DISPERSION = 0.02
 
+# The measurement window never starts before this fraction of the run,
+# whatever the drift heuristic says.
+TRANSIENT_FRACTION = 0.5
+
+# Without an explicit history_p0 the constant history starts this factor
+# above p*.
+HISTORY_FACTOR = 1.25
+
 
 class Regime(Enum):
     EQUILIBRIUM = "equilibrium"
@@ -131,20 +139,11 @@ def _transient_heuristic(v: np.ndarray, h: float) -> float:
     return h * float(max_idx[first_settled])
 
 
-def _check_transient_fraction(transient_fraction: float) -> None:
-    if not 0.0 <= transient_fraction < 1.0:
-        raise ValidationError(
-            f"transient_fraction must be in [0, 1), got {transient_fraction!r}"
-        )
-
-
-def estimate_cycle(
-    traj: Trajectory, p_star: float, transient_fraction: float = 0.5
-) -> CycleEstimate:
+def estimate_cycle(traj: Trajectory, p_star: float) -> CycleEstimate:
     """Measure amplitude, period, and mean past the transient.
 
     The measurement window starts at the later of the maxima-drift
-    heuristic and transient_fraction of the run (capped at 90% so a window
+    heuristic and TRANSIENT_FRACTION of the run (capped at 90% so a window
     always remains). Period comes from linearly interpolated upward
     crossings of p - mean; amplitude from per-cycle extrema with parabolic
     refinement; mean from the time average over an integer cycle count.
@@ -155,12 +154,11 @@ def estimate_cycle(
         If the window is not at equilibrium yet holds fewer than 5
         complete cycles.
     """
-    _check_transient_fraction(transient_fraction)
     v = traj.values
     h = traj.step
     span = h * (len(v) - 1)
     t_heur = _transient_heuristic(v, h)
-    transient_end = max(t_heur, transient_fraction * span)
+    transient_end = max(t_heur, TRANSIENT_FRACTION * span)
     transient_end = min(transient_end, 0.9 * span)
     i0 = int(math.ceil(transient_end / h - 1e-12))
     w = v[i0:]
@@ -255,7 +253,6 @@ def sweep(
     t_end: float,
     step: float | None = None,
     history_p0: float | None = None,
-    transient_fraction: float = 0.5,
 ) -> list[DiagramRow]:
     """Simulate each delay and pair measurements with predictions.
 
@@ -265,18 +262,17 @@ def sweep(
     has a cycle (Chain.expansion.has_cycle_at).
 
     Raises ValidationError before integrating anything if tau_values is
-    empty or holds a negative, nan or infinite delay, if transient_fraction
-    is outside [0, 1), or if history_p0 is not a positive price.
+    empty or holds a negative, nan or infinite delay, or if history_p0 is
+    not a positive price.
     """
     taus = [float(t) for t in tau_values]
     if not taus:
         raise ValidationError("tau_values must be nonempty")
     for t in taus:
         check_delay(t)
-    _check_transient_fraction(transient_fraction)
     chain = analyze(config)
     p_star, lin = chain.equilibrium.p_star, chain.linear
-    history = ConstantHistory(1.25 * p_star if history_p0 is None else history_p0)
+    history = ConstantHistory(HISTORY_FACTOR * p_star if history_p0 is None else history_p0)
 
     rows: list[DiagramRow] = []
     for tau in sorted(taus):
@@ -286,7 +282,7 @@ def sweep(
             cfg = dataclasses.replace(config, tau=tau)
             h = default_step(tau, lin.omega0) if step is None else step
             traj = simulate(cfg, history, t_end, h)
-            est = estimate_cycle(traj, p_star, transient_fraction)
+            est = estimate_cycle(traj, p_star)
             cycle = est.regime is Regime.LIMIT_CYCLE
             row = dataclasses.replace(
                 row, regime=est.regime.value, amp_meas=est.amplitude, mean_meas=est.mean,

@@ -23,6 +23,11 @@ from .errors import NoConvergence, NonNegativeB2, SingularJacobian, ValidationEr
 from .model import TaylorCoefficients, check_delay
 
 
+# linear_analysis reports this many critical delays: the onset tau0 and
+# the next two crossings of the family.
+N_CRITICAL = 3
+
+
 class StabilityVerdict(Enum):
     STABLE = "stable"
     CRITICAL = "critical"
@@ -42,7 +47,7 @@ class LinearAnalysis:
     tau0 : float
         First critical delay, -pi/(2*b2).
     tau_c : tuple of float
-        Critical-delay family -(2n+1)*pi/(2*b2) for n = 0, 2, 4, ...,
+        The first three critical delays -(2n+1)*pi/(2*b2), n = 0, 2, 4,
         in increasing order; tau_c[0] == tau0.
     transversality : float
         Re(d lambda/d tau) at tau0, always positive.
@@ -64,8 +69,9 @@ class ComplexRoot:
     residual: float
 
 
-def linear_analysis(coeffs: TaylorCoefficients, n_critical: int = 3) -> LinearAnalysis:
-    """Evaluate the closed-form critical delays and crossing speed.
+def linear_analysis(coeffs: TaylorCoefficients) -> LinearAnalysis:
+    """Evaluate the closed-form crossing speed and the first three
+    (N_CRITICAL) critical delays.
 
     Raises
     ------
@@ -75,10 +81,8 @@ def linear_analysis(coeffs: TaylorCoefficients, n_critical: int = 3) -> LinearAn
     b2 = coeffs.b2
     if b2 >= 0:
         raise NonNegativeB2(f"b2 = {b2!r} must be negative for a decreasing demand")
-    if n_critical < 1:
-        raise ValidationError(f"n_critical must be >= 1, got {n_critical!r}")
     omega0 = -b2
-    tau_c = tuple(-(2 * n + 1) * math.pi / (2 * b2) for n in range(0, 2 * n_critical, 2))
+    tau_c = tuple(-(2 * n + 1) * math.pi / (2 * b2) for n in range(0, 2 * N_CRITICAL, 2))
     return LinearAnalysis(
         b2=b2,
         omega0=omega0,

@@ -37,7 +37,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import compare_prediction, estimate_cycle, sweep, write_sweep_csv
+from .analysis import HISTORY_FACTOR, compare_prediction, estimate_cycle, sweep, write_sweep_csv
 from .bifurcation import is_locally_stable
 from .config import SETTINGS, RunConfig, load_config, parse_bool
 from .dde import (
@@ -163,7 +163,7 @@ def _emit(report: dict, text_lines: list[str], cfg: RunConfig,
 
 
 def cmd_analyze(cfg: RunConfig, argv: list[str]) -> int:
-    chain = analyze(cfg.build_model(), cfg.n_critical)
+    chain = analyze(cfg.build_model())
     eq, lin, exp = chain.equilibrium, chain.linear, chain.expansion
     # the adjoint harmonics behind eta2 exist for the paper's expansion only
     q1 = chain.paper.q1_harmonics
@@ -223,10 +223,10 @@ def cmd_simulate(cfg: RunConfig, argv: list[str]) -> int:
     if cfg.tau is None:
         raise ValidationError("simulate requires a delay (--tau or [simulation] tau)")
     model = cfg.build_model()
-    chain = analyze(model, cfg.n_critical)
+    chain = analyze(model)
     p_star = chain.equilibrium.p_star
     step = cfg.step if cfg.step is not None else default_step(cfg.tau, chain.linear.omega0)
-    p0 = cfg.history_p0 if cfg.history_p0 is not None else 1.25 * p_star
+    p0 = cfg.history_p0 if cfg.history_p0 is not None else HISTORY_FACTOR * p_star
     traj = simulate(model, ConstantHistory(p0), cfg.t_end, step)
     report: dict = {
         "config": cfg.to_sections(),
@@ -242,7 +242,7 @@ def cmd_simulate(cfg: RunConfig, argv: list[str]) -> int:
         f"({len(traj.values)} samples, history p0 = {_g(p0)})",
     ]
     est = _part(report, lines, "estimate", "cycle measurement",
-                estimate_cycle, traj, p_star, cfg.transient_fraction)
+                estimate_cycle, traj, p_star)
     if est is not None:
         lines.append(
             f"regime: {est.regime.value}; "
@@ -281,7 +281,6 @@ def cmd_sweep(cfg: RunConfig, argv: list[str]) -> int:
         t_end=cfg.t_end,
         step=cfg.step,
         history_p0=cfg.history_p0,
-        transient_fraction=cfg.transient_fraction,
     )
     write_sweep_csv(rows, cfg.out)
     _write_sidecar(cfg.out, "sweep", argv, cfg)
@@ -305,7 +304,7 @@ def cmd_sweep(cfg: RunConfig, argv: list[str]) -> int:
 def cmd_predict(cfg: RunConfig, argv: list[str]) -> int:
     if cfg.tau is None:
         raise ValidationError("predict requires a delay (--tau or [simulation] tau)")
-    chain = analyze(cfg.build_model(), cfg.n_critical)
+    chain = analyze(cfg.build_model())
     pred = predicted_cycle(chain.expansion, cfg.tau)
     report: dict = {
         "config": cfg.to_sections(),

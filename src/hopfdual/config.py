@@ -80,9 +80,6 @@ class Setting(NamedTuple):
 
 _POSITIVE = (lambda v: 0.0 < v < math.inf, "positive")
 _NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "nonnegative")
-# Counts size arrays (critical delays, waveform samples): the upper bound
-# keeps a typo from allocating before any output is written.
-_COUNT = (lambda n: 1 <= n <= 1000, "in [1, 1000]")
 
 # section -> key -> setting
 SETTINGS: dict[str, dict[str, Setting]] = {
@@ -106,16 +103,13 @@ SETTINGS: dict[str, dict[str, Setting]] = {
         "t_end": Setting("t_end", float, _POSITIVE, "final time"),
         "history_p0": Setting("history_p0", float, _POSITIVE, "constant initial history value"),
     },
-    "analysis": {
-        "transient_fraction": Setting("transient_fraction", float,
-                                      (lambda f: 0.0 <= f < 1.0, "in [0, 1)")),
-        "n_critical": Setting("n_critical", int, _COUNT),
-    },
     "output": {
         "out": Setting("out", str, help="write the main output file", metavar="FILE"),
         "json": Setting("json_output", parse_bool, help="print the JSON report instead of text"),
         "waveform": Setting("waveform", str),
-        "periods": Setting("periods", int, _COUNT),
+        # periods sizes the waveform array: the upper bound keeps a typo
+        # from allocating before any output is written
+        "periods": Setting("periods", int, (lambda n: 1 <= n <= 1000, "in [1, 1000]")),
     },
 }
 
@@ -134,8 +128,6 @@ class RunConfig:
     step: float | None = None
     t_end: float = 5000.0
     history_p0: float | None = None
-    transient_fraction: float = 0.5
-    n_critical: int = 3
     out: str | None = None
     json_output: bool = False
     waveform: str | None = None

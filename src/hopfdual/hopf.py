@@ -405,10 +405,10 @@ class Chain:
         return self.paper
 
 
-def analyze(model: ModelConfig, n_critical: int = 3) -> Chain:
-    """Equilibrium, Taylor coefficients, linear analysis (with n_critical
-    critical delays) and both expansions of a model."""
+def analyze(model: ModelConfig) -> Chain:
+    """Equilibrium, Taylor coefficients, linear analysis and both
+    expansions of a model."""
     eq = find_equilibrium(model)
     coeffs = taylor_coefficients(model, eq)
-    lin = linear_analysis(coeffs, n_critical=n_critical)
+    lin = linear_analysis(coeffs)
     return Chain(eq, coeffs, lin, hopf_expansion(coeffs, lin), normal_form(coeffs, lin))

@@ -31,15 +31,17 @@ from hopfdual import (
 P_STAR = 0.02
 
 
-def _sinusoid(a, period, offset, n_periods=24, samples_per_period=400, chirp=0.0):
-    """Synthetic trajectory p* + offset + a*sin(phase) with exact derivatives."""
+def _sinusoid(a, period, offset, n_periods=24, samples_per_period=400, chirp=0.0, growth=0.0):
+    """Synthetic trajectory p* + offset + a*exp(growth*t)*sin(phase) with
+    exact derivatives."""
     h = period / samples_per_period
     n = n_periods * samples_per_period
     t = h * np.arange(n + 1)
     phase = 2.0 * math.pi * (t / period) * (1.0 + chirp * t)
     dphase = 2.0 * math.pi * (1.0 / period + 2.0 * chirp * t / period)
-    values = P_STAR + offset + a * np.sin(phase)
-    derivs = a * np.cos(phase) * dphase
+    envelope = a * np.exp(growth * t)
+    values = P_STAR + offset + envelope * np.sin(phase)
+    derivs = envelope * (np.cos(phase) * dphase + growth * np.sin(phase))
     return Trajectory(step=h, values=values, derivs=derivs)
 
 
@@ -100,11 +102,21 @@ def test_drifting_period_is_undetermined():
     assert est.amplitude > 0.0
 
 
-def test_transient_fraction_validation(run_tau30):
-    with pytest.raises(ValidationError):
-        estimate_cycle(run_tau30, P_STAR, transient_fraction=1.0)
-    with pytest.raises(ValidationError):
-        estimate_cycle(run_tau30, P_STAR, transient_fraction=-0.1)
+def _first_sample_at(t, t_min, h):
+    """Whether t is the first sample time at or after t_min (up to round-off)."""
+    return t - h < t_min <= t + 1e-9 * h
+
+
+def test_window_starts_at_the_floor_and_stops_at_the_cap():
+    # A steady cycle settles at once, so the window starts at the
+    # TRANSIENT_FRACTION floor; maxima that still grow at the end of the
+    # run push the drift heuristic past the 90 % cap.
+    for a, growth, start in ((0.003, 0.0, analysis.TRANSIENT_FRACTION), (1e-4, 2e-3, 0.9)):
+        traj = _sinusoid(a, 12.76, 0.0, n_periods=160, samples_per_period=240, growth=growth)
+        h = traj.step
+        est = estimate_cycle(traj, P_STAR)
+        assert est.regime is Regime.LIMIT_CYCLE
+        assert _first_sample_at(est.transient_end, start * h * (len(traj.values) - 1), h)
 
 
 def _reference_prediction():
@@ -235,8 +247,6 @@ def test_sweep_validation(monkeypatch):
     for bad in (math.nan, math.inf):
         with pytest.raises(ValidationError, match=repr(bad)):
             sweep(model, [bad, 3.0], t_end=100.0)
-    with pytest.raises(ValidationError, match="transient_fraction"):
-        sweep(model, [3.2, 3.3], t_end=500.0, step=0.02, transient_fraction=1.5)
     with pytest.raises(ValidationError, match="history price"):
         sweep(model, [3.2, 3.3], t_end=500.0, step=0.02, history_p0=-1.0)
 

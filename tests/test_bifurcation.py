@@ -48,10 +48,11 @@ def test_reference_linear_values(linear):
 
 
 def test_critical_delay_family(coeffs):
-    lin = linear_analysis(coeffs, n_critical=2)
-    assert len(lin.tau_c) == 2
+    lin = linear_analysis(coeffs)
+    assert len(lin.tau_c) == 3
     assert lin.tau_c[0] == pytest.approx(math.pi, rel=1e-12)
     assert lin.tau_c[1] == pytest.approx(5.0 * math.pi, rel=1e-12)
+    assert lin.tau_c[2] == pytest.approx(9.0 * math.pi, rel=1e-12)
     assert lin.tau_c[0] == pytest.approx(lin.tau0, rel=1e-15)
 
 
@@ -69,12 +70,6 @@ def test_nonnegative_b2_rejected():
         linear_analysis(_coeffs_with_b2(0.0))
     with pytest.raises(NonNegativeB2):
         linear_analysis(_coeffs_with_b2(0.25))
-
-
-@pytest.mark.parametrize("n_critical", [0, -1])
-def test_n_critical_below_one_rejected(coeffs, n_critical):
-    with pytest.raises(ValidationError, match="n_critical must be >= 1"):
-        linear_analysis(coeffs, n_critical=n_critical)
 
 
 def test_stability_verdicts(linear):

@@ -94,7 +94,7 @@ def test_analyze_text_output(capsys):
 
 def test_analyze_reports_a_degenerate_classification(capsys, monkeypatch):
     # the CLI's own demands give a nonzero tau2; the logistic curve's vanishes
-    monkeypatch.setattr(cli, "analyze", lambda model, n: hopf.analyze(logistic_model(), n))
+    monkeypatch.setattr(cli, "analyze", lambda model: hopf.analyze(logistic_model()))
     rc, out, _ = _run(capsys, ["analyze"])
     assert rc == 0
     assert "classification: degenerate (tau2 vanishes)" in out.splitlines()
@@ -264,9 +264,6 @@ _INVALID = {
     ("simulation", "step"): (_BAD_POSITIVE, True),
     ("simulation", "t_end"): (_BAD_POSITIVE, True),
     ("simulation", "history_p0"): (_BAD_POSITIVE, True),
-    ("analysis", "transient_fraction"): (_NOT_A_NUMBER | (
-        st.floats(min_value=1.0) | _NOT_NONNEGATIVE).map(repr), False),
-    ("analysis", "n_critical"): (_BAD_COUNT, False),
     ("output", "json"): (st.sampled_from(["", "maybe", "2", "yess"]), True),
     ("output", "periods"): (_BAD_COUNT, False),
 }
@@ -477,7 +474,6 @@ def test_config_round_trip(capsys, tmp_path):
     f1.write_text(
         "[model]\ndemand = reciprocal\nw = 1.0\nk = 0.01\nc = 50.0\n\n"
         "[simulation]\ntau = 3.2\nt_end = 400.0\nstep = 0.02\n\n"
-        "[analysis]\ntransient_fraction = 0.5\nn_critical = 3\n\n"
         "[output]\njson = true\n",
         encoding="utf-8",
     )
@@ -494,6 +490,7 @@ def test_config_file_errors(capsys, tmp_path):
     cases = {
         "unknown_key.ini": "[model]\nkk = 1\n",
         "unknown_section.ini": "[models]\nk = 1\n",
+        "analysis_section.ini": "[analysis]\ntransient_fraction = 0.5\n",
         "duplicate.ini": "[model]\nk = 1\nk = 2\n",
         "orphan.ini": "k = 1\n",
         "no_equals.ini": "[model]\nk 1\n",
