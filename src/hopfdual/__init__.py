@@ -39,9 +39,6 @@ from .demand import (
     make_demand,
 )
 from .dde import (
-    ConstantHistory,
-    HistoryFunction,
-    SampledHistory,
     Trajectory,
     default_step,
     read_trajectory_csv,
@@ -97,7 +94,6 @@ __all__ = [
     "BifurcationClass",
     "Chain",
     "ComplexRoot",
-    "ConstantHistory",
     "CycleEstimate",
     "CyclePrediction",
     "CycleStability",
@@ -109,7 +105,6 @@ __all__ = [
     "DomainViolation",
     "Equilibrium",
     "ExpansionInvalid",
-    "HistoryFunction",
     "HopfDualError",
     "HopfExpansion",
     "LinearAnalysis",
@@ -128,7 +123,6 @@ __all__ = [
     "Regime",
     "RegimeMismatch",
     "SWEEP_HEADER",
-    "SampledHistory",
     "SingularJacobian",
     "StabilityVerdict",
     "TaylorCoefficients",

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dde import ConstantHistory, Trajectory, default_step, simulate
+from .dde import Trajectory, check_history_price, default_step, simulate
 from .errors import HopfDualError, RegimeMismatch, TooShort, ValidationError
 from .hopf import CyclePrediction, analyze, predicted_cycle
 from .model import ModelConfig, check_delay
@@ -272,7 +272,8 @@ def sweep(
         check_delay(t)
     chain = analyze(config)
     p_star, lin = chain.equilibrium.p_star, chain.linear
-    history = ConstantHistory(HISTORY_FACTOR * p_star if history_p0 is None else history_p0)
+    p0 = HISTORY_FACTOR * p_star if history_p0 is None else history_p0
+    check_history_price(p0)
 
     rows: list[DiagramRow] = []
     for tau in sorted(taus):
@@ -281,7 +282,7 @@ def sweep(
         try:
             cfg = dataclasses.replace(config, tau=tau)
             h = default_step(tau, lin.omega0) if step is None else step
-            traj = simulate(cfg, history, t_end, h)
+            traj = simulate(cfg, p0, t_end, h)
             est = estimate_cycle(traj, p_star)
             cycle = est.regime is Regime.LIMIT_CYCLE
             row = dataclasses.replace(

@@ -40,13 +40,7 @@ from . import __version__
 from .analysis import HISTORY_FACTOR, compare_prediction, estimate_cycle, sweep, write_sweep_csv
 from .bifurcation import is_locally_stable
 from .config import SETTINGS, RunConfig, load_config, parse_bool
-from .dde import (
-    ConstantHistory,
-    default_step,
-    simulate,
-    write_csv_columns,
-    write_trajectory_csv,
-)
+from .dde import default_step, simulate, write_csv_columns, write_trajectory_csv
 from .errors import (
     DegenerateBifurcation,
     HopfDualError,
@@ -227,7 +221,7 @@ def cmd_simulate(cfg: RunConfig, argv: list[str]) -> int:
     p_star = chain.equilibrium.p_star
     step = cfg.step if cfg.step is not None else default_step(cfg.tau, chain.linear.omega0)
     p0 = cfg.history_p0 if cfg.history_p0 is not None else HISTORY_FACTOR * p_star
-    traj = simulate(model, ConstantHistory(p0), cfg.t_end, step)
+    traj = simulate(model, p0, cfg.t_end, step)
     report: dict = {
         "config": cfg.to_sections(),
         "tau": cfg.tau,

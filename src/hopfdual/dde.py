@@ -2,8 +2,8 @@
 
 Method of steps with an exponential step: the delayed price p(t - tau) at
 the start, middle and end of each step is read from cubic Hermite
-interpolation over the already-computed (value, derivative) nodes, or from
-the initial history for t - tau <= 0.
+interpolation over the already-computed (value, derivative) nodes, or is
+the start price p0 for t - tau <= 0: the history on [-tau, 0] is constant.
 
 Once the delayed price is known the equation is scalar and linear in p:
 p' = a(t) p with a = k (x(p(t - tau)) - c), whose exact step is
@@ -25,13 +25,11 @@ two rows of one array, so one gather at a fixed index, relative to the
 first node the block reads, takes all four Hermite inputs of a block, and
 no Hermite weight carries a factor h; the slope row is divided by h once,
 in place, when the run is done. Only the first blocks, whose points still
-lie in the history, gather at absolute, clipped indices; the history then
-gives those points with one call on the array of their times, so a
-HistoryFunction must take an array of times as well as one time, and
-every price it gives must be positive and finite. The views into the
-block buffers are built once and reused by every full block; a shorter
-block (the last one, or one cut short by a domain violation) slices them
-again. The block length follows from tau/step; it is not a setting.
+lie in the history, gather at absolute, clipped indices, and then fill
+those points with p0. The views into the block buffers are built once and
+reused by every full block; a shorter block (the last one, or one cut
+short by a domain violation) slices them again. The block length follows
+from tau/step; it is not a setting.
 
 The node derivative stored for Hermite interpolation is the exact
 right-hand side at the node, a(t_n) p_n, which makes the dense output C^1
@@ -58,85 +56,6 @@ from .errors import (
     ValidationError,
 )
 from .model import ModelConfig
-
-
-@dataclass(frozen=True)
-class HistoryFunction:
-    """Initial price history on [-tau, 0].
-
-    A history is called with one time, a float, and returns a float, or
-    with a numpy array of times and returns an array of their shape, with
-    the same value at each time as a call on that time alone. `simulate`
-    reads each early block's history points with one array call; a history
-    that refuses arrays makes it raise ValidationError naming this
-    contract.
-    """
-
-    def __call__(self, t: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-        raise NotImplementedError
-
-    def check_coverage(self, tau: float) -> None:
-        """Raise unless the history covers [-tau, 0] entirely."""
-
-
-@dataclass(frozen=True)
-class ConstantHistory(HistoryFunction):
-    """p(t) = p0 for every t <= 0."""
-
-    p0: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.p0) and self.p0 > 0):
-            raise ValidationError(f"history price must be positive, got {self.p0!r}")
-
-    def __call__(self, t):
-        return self.p0 if np.ndim(t) == 0 else np.full(np.shape(t), self.p0)
-
-
-@dataclass(frozen=True)
-class SampledHistory(HistoryFunction):
-    """Piecewise-linear history through (times, values) samples, constant
-    before the first sample and after the last.
-
-    Intended for restart scenarios: pass the tail of a previous trajectory.
-    Times must be finite, increasing and bracket [-tau, 0]; values must be
-    positive.
-    """
-
-    times: tuple[float, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        t = tuple(float(v) for v in self.times)
-        v = tuple(float(x) for x in self.values)
-        if len(t) != len(v) or len(t) < 2:
-            raise ValidationError("sampled history needs matching times/values, >= 2 points")
-        if not all(math.isfinite(x) for x in t):
-            raise ValidationError(f"sampled history times must be finite, got {t!r}")
-        if any(b <= a for a, b in zip(t, t[1:])):
-            raise ValidationError("sampled history times must be strictly increasing")
-        if any(x <= 0 or not math.isfinite(x) for x in v):
-            raise ValidationError("sampled history values must be positive and finite")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-
-    def check_coverage(self, tau: float) -> None:
-        if self.times[0] > -tau or self.times[-1] < 0.0:
-            raise ValidationError(
-                f"sampled history [{self.times[0]:g}, {self.times[-1]:g}] "
-                f"does not cover [-{tau:g}, 0]"
-            )
-
-    def __call__(self, t):
-        ts, vs = np.array(self.times), np.array(self.values)
-        tt = np.asarray(t, dtype=float)
-        # Sample j is the last one at or before t, kept inside [0, len - 2];
-        # th, clipped to [0, 1], then gives vs[0] before the first sample and
-        # vs[-1] after the last exactly, as vs[j] * 1 + vs[j + 1] * 0 = vs[j].
-        j = np.clip(np.searchsorted(ts, tt, side="right") - 1, 0, len(ts) - 2)
-        th = np.clip((tt - ts[j]) / (ts[j + 1] - ts[j]), 0.0, 1.0)
-        out = vs[j] * (1.0 - th) + vs[j + 1] * th
-        return float(out) if out.ndim == 0 else out
 
 
 def _hermite_weights(th):
@@ -222,12 +141,10 @@ def _check_node(p: float, t: float) -> None:
         raise PositivityLoss(t)
 
 
-def _bad_history(history: HistoryFunction, price, t: float) -> ValidationError:
-    """The error for a history price that is not positive and finite."""
-    return ValidationError(
-        f"history {type(history).__name__} gave price {float(price)!r} at t = {float(t):.6g}; "
-        "a history price must be positive and finite"
-    )
+def check_history_price(p0: float) -> None:
+    """Raise ValidationError unless p0 is a positive, finite price."""
+    if not 0.0 < p0 < math.inf:
+        raise ValidationError(f"history price must be positive and finite, got {p0!r}")
 
 
 def _memory_bytes() -> int:
@@ -241,18 +158,19 @@ def _memory_bytes() -> int:
 
 def simulate(
     config: ModelConfig,
-    history: HistoryFunction,
+    p0: float,
     t_end: float,
     step: float,
 ) -> Trajectory:
-    """Integrate the model from its initial history to t_end.
+    """Integrate the model from the constant history p0 to t_end.
 
     Parameters
     ----------
     config : ModelConfig
         Model parameters; config.tau is the delay, which must be positive.
-    history : HistoryFunction
-        Price on [-tau, 0]; history(0) seeds the first node.
+    p0 : float
+        Price on all of [-tau, 0], and the first node; must be positive
+        and finite.
     t_end : float
         Final time; must be at least 10 steps long.
     step : float
@@ -266,11 +184,10 @@ def simulate(
     Raises
     ------
     ValidationError
-        If the delay, step, t_end or history is invalid, if the history
-        gives a price that is not positive and finite (the history's class
-        and the time named), if the t_end/step + 1 nodes would take more
-        bytes than the machine's physical memory, or if tau/step is not
-        below 2**63 (an overflow to inf included).
+        If p0 is not a positive, finite price (checked first), if the
+        delay, step or t_end is invalid, if the t_end/step + 1 nodes
+        would take more bytes than the machine's physical memory, or if
+        tau/step is not below 2**63 (an overflow to inf included).
     PositivityLoss
         If a computed node price underflows to 0.0 (time reported): each
         step multiplies the price by a factor exp(...) > 0, so this is the
@@ -280,6 +197,7 @@ def simulate(
     DomainViolation
         If a delayed price leaves the demand's domain.
     """
+    check_history_price(p0)
     tau = config.tau
     if not tau > 0:
         raise ValidationError(f"simulate needs a positive delay tau, got {tau!r}")
@@ -289,7 +207,6 @@ def simulate(
         raise ValidationError(f"step {step!r} exceeds tau/10 = {tau / 10.0!r}")
     if t_end < 10 * step:
         raise ValidationError(f"t_end {t_end!r} shorter than 10 steps")
-    history.check_coverage(tau)
     steps = t_end / step
     # The node values and derivatives take 16 bytes a node: refuse a run
     # whose trajectory cannot fit in memory before allocating any of it.
@@ -307,9 +224,6 @@ def simulate(
         )
     n = int(round(steps))
     h = step
-    p0 = history(0.0)
-    if not 0.0 < p0 < math.inf:
-        raise _bad_history(history, p0, 0.0)
 
     k, c, demand = config.k, config.c, config.demand
     # In units of h, step i reads the delayed price at i - lag (u0),
@@ -336,9 +250,8 @@ def simulate(
     # gather at a fixed index into flat[s + left[0]:] reads all four Hermite
     # inputs of a block. Early blocks, whose first points still lie in the
     # history (s + left[0] < 0), gather at the clipped absolute index
-    # instead, and the history values then replace those points. Zeros, not
-    # empty, so that those clipped reads, which may land on any slot, are
-    # finite.
+    # instead, and p0 then replaces those points. Zeros, not empty, so that
+    # those clipped reads, which may land on any slot, are finite.
     rel = left - first
     index = np.stack((rel, rel + n + 1, rel + 1, rel + n + 2))
     node_rows = np.zeros((2, n + 1))
@@ -375,19 +288,7 @@ def simulate(
             # Summed row by row: ((w00 v_j + w10 h d_j) + w01 v_{j+1}) + w11 h d_{j+1}
             np.add.reduce(gathered, axis=0, out=delayed)
             if start < 0:
-                cut = int(np.searchsorted(left, -s))
-                times = (s + half[:cut] - lag) * h
-                try:
-                    delayed[:cut] = history(times)
-                except (TypeError, ValueError) as exc:
-                    raise ValidationError(
-                        "simulate needs a history that accepts a numpy array of times "
-                        f"and returns an array of their shape: {type(exc).__name__}: {exc}"
-                    ) from exc
-                good = (0.0 < delayed[:cut]) & (delayed[:cut] < math.inf)
-                if not good.all():
-                    i = int(np.argmin(good))
-                    raise _bad_history(history, delayed[i], times[i])
+                delayed[:int(np.searchsorted(left, -s))] = p0
             try:
                 x = demand.rates(delayed if b == block else delayed[:2 * b + 1])
             except DomainViolation:

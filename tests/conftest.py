@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from hopfdual import (
-    ConstantHistory,
     ModelConfig,
     NumericWrapper,
     Reciprocal,
@@ -81,16 +80,16 @@ def normal_form(chain):
 @pytest.fixture(scope="session")
 def run_tau30():
     """Below onset: decays to equilibrium."""
-    return simulate(reference_model(3.0), ConstantHistory(0.025), 2000.0, 0.01)
+    return simulate(reference_model(3.0), 0.025, 2000.0, 0.01)
 
 
 @pytest.fixture(scope="session")
 def run_tau32():
     """Just above onset: settles onto the small limit cycle."""
-    return simulate(reference_model(3.2), ConstantHistory(0.025), 5000.0, 0.01)
+    return simulate(reference_model(3.2), 0.025, 5000.0, 0.01)
 
 
 @pytest.fixture(scope="session")
 def run_tau34():
     """Farther above onset: larger, slower cycle."""
-    return simulate(reference_model(3.4), ConstantHistory(0.025), 5000.0, 0.01)
+    return simulate(reference_model(3.4), 0.025, 5000.0, 0.01)

@@ -18,7 +18,6 @@ import pytest
 
 from conftest import reference_model
 from hopfdual import (
-    ConstantHistory,
     CycleStability,
     Direction,
     NumericWrapper,
@@ -183,13 +182,13 @@ def test_criterion_08_oracle_verify():
 
 
 def test_criterion_09_integrator_quality(run_tau30):
-    drift_traj = simulate(reference_model(3.2), ConstantHistory(0.02), 1000.0, 0.01)
+    drift_traj = simulate(reference_model(3.2), 0.02, 1000.0, 0.01)
     drift = float(np.max(np.abs(drift_traj.values - 0.02)))
 
     # self-convergence on the tau = 3 problem past the delay-induced
     # breaking points: node-aligned max differences between h, h/2, h/4
-    coarse = simulate(reference_model(3.0), ConstantHistory(0.025), 2000.0, 0.02)
-    fine = simulate(reference_model(3.0), ConstantHistory(0.025), 2000.0, 0.005)
+    coarse = simulate(reference_model(3.0), 0.025, 2000.0, 0.02)
+    fine = simulate(reference_model(3.0), 0.025, 2000.0, 0.005)
     i_c = int(round(30.0 / 0.02))
     i_m = int(round(30.0 / 0.01))
     d1 = float(np.max(np.abs(coarse.values[i_c:] - run_tau30.values[::2][i_c:])))

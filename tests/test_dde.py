@@ -1,11 +1,10 @@
-"""Integrator behavior: accuracy, histories, failure modes, persistence."""
+"""Integrator behavior: accuracy, failure modes, persistence."""
 
 import dataclasses
 import math
 import re
 import tracemalloc
 import warnings
-from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -15,10 +14,8 @@ from hypothesis import strategies as st
 from conftest import C, K, reference_model
 from hopfdual import dde
 from hopfdual import (
-    ConstantHistory,
     DelayedLookupGap,
     DomainViolation,
-    HistoryFunction,
     ModelConfig,
     NumericalError,
     NumericWrapper,
@@ -26,7 +23,6 @@ from hopfdual import (
     PowerLaw,
     Reciprocal,
     Regime,
-    SampledHistory,
     Trajectory,
     ValidationError,
     default_step,
@@ -38,8 +34,9 @@ from hopfdual import (
 )
 
 
-def scalar_simulate(config, history, t_end, step):
-    """Reference: the method-of-steps exponential step one step at a time,
+def scalar_simulate(config, p0, t_end, step):
+    """Reference: the method-of-steps exponential step one step at a time
+    from the constant history p0,
     p_{i+1} = p_i exp(h (a0 + 4 a1 + a2)/6) with a = k (x(p(t - tau)) - c)
     at the start, middle and end of the step (tau > 0 only). Returns the
     node values and derivatives; raises the errors `simulate` raises."""
@@ -56,13 +53,13 @@ def scalar_simulate(config, history, t_end, step):
         if p <= 0.0:
             raise PositivityLoss(t)
 
-    values = [history(0.0)]
+    values = [p0]
     derivs = []
     lag = tau / h
 
     def lookup(pos):
         if pos <= 0.0:
-            return history(pos * h)
+            return p0
         j = int(pos)
         th = pos - j
         if th == 0.0:
@@ -89,32 +86,29 @@ def scalar_simulate(config, history, t_end, step):
     return np.array(values), np.array(derivs)
 
 
-def _wavy_history(tau):
-    times = tuple(np.linspace(-1.25 * tau, 0.0, 11))
-    return SampledHistory(times=times, values=tuple(0.02 + 0.004 * np.sin(times)))
-
-
 ORACLE_CASES = {
     # tau/h = 160 exactly: every delayed stage-1 time falls on a node
-    "integer-lag": (reference_model(2.0), ConstantHistory(0.025), 300.0, 0.0125),
+    "integer-lag": (reference_model(2.0), 0.025, 300.0, 0.0125),
     # the other cases have tau/h off the integers (here 106.67), except
-    # h = tau/10, where tau/h is 10 to within rounding
-    "non-integer-lag": (reference_model(3.2), ConstantHistory(0.025), 300.0, 0.03),
-    "minimum-lag": (reference_model(3.2), ConstantHistory(0.025), 300.0, 0.32),
-    "sampled-history": (reference_model(3.2), _wavy_history(3.2), 300.0, 0.013),
+    # h = tau/10 and h = 0.01 at tau = 3.2, where tau/h is 10 and 320 to
+    # within rounding
+    "non-integer-lag": (reference_model(3.2), 0.025, 300.0, 0.03),
+    "minimum-lag": (reference_model(3.2), 0.025, 300.0, 0.32),
+    # tau/h = 246.15, starting below p* where the history reads 0.012
+    "below-equilibrium": (reference_model(3.2), 0.012, 300.0, 0.013),
     # tau/h = 320 over a run of 100 steps: shorter than one block, so every
     # delayed point lies in the history
-    "shorter-than-block": (reference_model(3.2), _wavy_history(3.2), 1.0, 0.01),
+    "shorter-than-block": (reference_model(3.2), 0.025, 1.0, 0.01),
     "powerlaw": (
         ModelConfig(k=0.1, c=5.0, tau=3.0, demand=PowerLaw(w=1.0, alpha=2.0)),
-        ConstantHistory(0.05), 300.0, 0.017,
+        0.05, 300.0, 0.017,
     ),
     "numeric-wrapper": (
         dataclasses.replace(
             reference_model(3.3),
             demand=NumericWrapper(func=lambda p: 1.0 / p, domain_lo=0.0),
         ),
-        ConstantHistory(0.025), 300.0, 0.021,
+        0.025, 300.0, 0.021,
     ),
 }
 
@@ -123,9 +117,9 @@ ORACLE_CASES = {
 def test_block_integrator_matches_scalar_loop(case):
     # the block form reorders the arithmetic of the step, so agreement is
     # to round-off accumulated over the run, not bit for bit
-    config, history, t_end, step = ORACLE_CASES[case]
-    traj = simulate(config, history, t_end, step)
-    values, derivs = scalar_simulate(config, history, t_end, step)
+    config, p0, t_end, step = ORACLE_CASES[case]
+    traj = simulate(config, p0, t_end, step)
+    values, derivs = scalar_simulate(config, p0, t_end, step)
     assert np.ptp(values) > 1e-4  # the case exercises real dynamics
     np.testing.assert_allclose(traj.values, values, rtol=1e-12, atol=0)
     np.testing.assert_allclose(
@@ -138,17 +132,16 @@ def test_block_integrator_matches_scalar_loop(case):
     whole=st.integers(10, 59),
     fraction=st.floats(0.01, 0.99),
     n=st.integers(10, 250),
-    wavy=st.booleans(),
+    p0=st.floats(0.01, 0.04),
 )
-def test_block_integrator_matches_scalar_loop_at_any_lag(whole, fraction, n, wavy):
+def test_block_integrator_matches_scalar_loop_at_any_lag(whole, fraction, n, p0):
     # tau/h off the integers, and runs from under one block to a few blocks,
     # so that blocks start at every offset from the end of the history
     tau = 3.2
     step = tau / (whole + fraction)
     config = reference_model(tau)
-    history = _wavy_history(tau) if wavy else ConstantHistory(0.025)
-    traj = simulate(config, history, n * step, step)
-    values, derivs = scalar_simulate(config, history, n * step, step)
+    traj = simulate(config, p0, n * step, step)
+    values, derivs = scalar_simulate(config, p0, n * step, step)
     assert len(traj.values) == n + 1
     np.testing.assert_allclose(traj.values, values, rtol=1e-12, atol=0)
     np.testing.assert_allclose(
@@ -158,13 +151,13 @@ def test_block_integrator_matches_scalar_loop_at_any_lag(whole, fraction, n, wav
 
 def test_equilibrium_is_preserved():
     model = reference_model(3.2)
-    traj = simulate(model, ConstantHistory(0.02), t_end=1000.0, step=0.01)
+    traj = simulate(model, 0.02, t_end=1000.0, step=0.01)
     assert float(np.max(np.abs(traj.values - 0.02))) < 1e-10
 
 
 def test_step_halving_agreement(run_tau32):
     model = reference_model(3.2)
-    fine = simulate(model, ConstantHistory(0.025), t_end=5000.0, step=0.005)
+    fine = simulate(model, 0.025, t_end=5000.0, step=0.005)
     diff = np.max(np.abs(run_tau32.values - fine.values[::2]))
     assert float(diff) < 1e-6
 
@@ -175,7 +168,7 @@ def test_amplitude_converges_far_from_onset():
     # 1.6e-7 relative and the period by 1.8e-8 (RK4 moved them by 2.6e-2
     # and 1.7e-4). The bounds leave a factor of about 6.
     runs = [
-        estimate_cycle(simulate(reference_model(10.0), ConstantHistory(0.025), 4000.0, h), 0.02)
+        estimate_cycle(simulate(reference_model(10.0), 0.025, 4000.0, h), 0.02)
         for h in (0.02, 0.01)
     ]
     coarse, fine = runs
@@ -189,7 +182,7 @@ def test_nodes_satisfy_the_equation():
     # past the first few delay intervals the stored node derivative must
     # equal the right-hand side evaluated with the interpolated delayed price
     model = reference_model(3.2)
-    traj = simulate(model, ConstantHistory(0.025), t_end=200.0, step=0.01)
+    traj = simulate(model, 0.025, t_end=200.0, step=0.01)
     start = int(round(10 * model.tau / traj.step))
     for i in range(start, len(traj.values) - 1, 997):
         t = i * traj.step
@@ -201,7 +194,7 @@ def test_prices_stay_positive_above_onset():
     tau = 3.456  # about 1.1 * tau0
     model = reference_model(tau)
     for p0 in (0.01, 0.04):
-        traj = simulate(model, ConstantHistory(p0), t_end=800.0, step=0.02)
+        traj = simulate(model, p0, t_end=800.0, step=0.02)
         assert float(np.min(traj.values)) > 0.0
 
 
@@ -209,10 +202,10 @@ def test_zero_delay_is_rejected():
     # the method of steps needs a delay; the delay is checked before the
     # step, t_end and memory checks, which these arguments would also fail
     model = reference_model(0.0)
-    hist = ConstantHistory(0.025)
+    p0 = 0.025
     for t_end, step in ((200.0, 0.05), (200.0, 0.0), (0.01, 0.05), (1e30, 0.01)):
         with pytest.raises(ValidationError, match="positive delay tau, got 0.0"):
-            simulate(model, hist, t_end=t_end, step=step)
+            simulate(model, p0, t_end=t_end, step=step)
 
 
 def test_default_step_rule():
@@ -222,120 +215,6 @@ def test_default_step_rule():
     assert default_step(50.0, 0.5) == pytest.approx(
         (2 * math.pi / 0.5) / 200.0, rel=1e-15
     )
-
-
-def test_sampled_history_interpolates():
-    sh = SampledHistory(times=(-4.0, -2.0, 0.0), values=(0.025, 0.025, 0.02))
-    assert sh(-3.0) == pytest.approx(0.025, rel=1e-15)
-    assert sh(-1.0) == pytest.approx(0.0225, rel=1e-15)
-    assert sh(-5.0) == 0.025  # clamped before the first sample
-    assert sh(1.0) == 0.02  # clamped after the last
-
-
-def test_sampled_history_validation():
-    with pytest.raises(ValidationError):
-        SampledHistory(times=(-1.0, -1.0, 0.0), values=(0.02, 0.02, 0.02))
-    with pytest.raises(ValidationError):
-        SampledHistory(times=(-1.0, 0.0), values=(0.02, -0.01))
-    with pytest.raises(ValidationError):
-        SampledHistory(times=(-1.0,), values=(0.02,))
-    sh = SampledHistory(times=(-1.0, 0.0), values=(0.02, 0.02))
-    with pytest.raises(ValidationError):
-        sh.check_coverage(2.0)  # does not reach back to -tau
-
-
-@pytest.mark.parametrize(
-    "times, values",
-    [((-4.0, math.nan, 0.0), (0.025, 0.025, 0.02)), ((-math.inf, 0.0), (0.025, 0.02))],
-    ids=["nan", "-inf"],
-)
-def test_sampled_history_refuses_non_finite_times(times, values):
-    # a nan time passed the increasing check (every comparison with nan is
-    # false) and gave nan prices, so simulate failed later on "price nan"
-    with pytest.raises(ValidationError, match="times must be finite"):
-        SampledHistory(times=times, values=values)
-
-
-def _linear(times, values, t):
-    """Piecewise-linear interpolation at one time, one Python float at a
-    time: the reference for SampledHistory."""
-    if t <= times[0]:
-        return values[0]
-    if t >= times[-1]:
-        return values[-1]
-    j = bisect_right(times, t) - 1
-    th = (t - times[j]) / (times[j + 1] - times[j])
-    return values[j] * (1.0 - th) + values[j + 1] * th
-
-
-@dataclasses.dataclass(frozen=True)
-class _FloatOnlyHistory(HistoryFunction):
-    """A history written for one time at a time."""
-
-    inner: HistoryFunction
-
-    def __call__(self, t):
-        return self.inner(float(t))
-
-
-_prices = st.floats(1e-3, 1.0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    sample_times=st.lists(st.floats(-8.0, 2.0), min_size=2, max_size=8, unique=True)
-    .map(sorted),
-    prices=st.lists(_prices, min_size=8, max_size=8),
-    sampled=st.booleans(),
-    data=st.data(),
-)
-def test_history_on_an_array_matches_history_at_each_time(sample_times, prices, sampled, data):
-    values = tuple(prices[:len(sample_times)])
-    history = (
-        SampledHistory(times=tuple(sample_times), values=values)
-        if sampled else ConstantHistory(prices[0])
-    )
-    lo, hi = sample_times[0], sample_times[-1]
-    # times before, inside, on and after the samples
-    time = st.one_of(
-        st.floats(lo - 10.0, lo),
-        st.floats(lo, hi),
-        st.sampled_from(sample_times),
-        st.floats(hi, hi + 10.0),
-    )
-    times = np.array(data.draw(st.lists(time, min_size=1, max_size=30)))
-    one_by_one = [history(t) for t in times.tolist()]
-    assert all(type(v) is float for v in one_by_one)
-    on_array = history(times)
-    assert on_array.shape == times.shape
-    assert np.array_equal(on_array, one_by_one)
-    assert np.array_equal(history(times.reshape(1, -1)), [one_by_one])
-    if sampled:
-        assert one_by_one == [_linear(sample_times, values, t) for t in times.tolist()]
-    # simulate reads early delayed prices with one call on an array of times
-    with pytest.raises(ValidationError, match="accepts a numpy array of times"):
-        simulate(reference_model(3.2), _FloatOnlyHistory(history), 1.0, 0.02)
-
-
-@dataclasses.dataclass(frozen=True)
-class _GapHistory(HistoryFunction):
-    """0.02 everywhere but nan on [lo, hi]."""
-
-    lo: float
-    hi: float
-
-    def __call__(self, t):
-        return np.where((self.lo <= t) & (t <= self.hi), math.nan, 0.02)
-
-
-@pytest.mark.parametrize("lo, hi, t", [(-0.5, 1.0, "0"), (-2.0, -1.0, "-2")],
-                         ids=["at-zero", "in-array-call"])
-def test_simulate_refuses_a_nan_history_price(lo, hi, t):
-    # a nan at t = 0 passed `p0 <= 0`, and one in an early block's array
-    # call reached the demand; both failed later on "price nan"
-    with pytest.raises(ValidationError,
-                       match=rf"^history _GapHistory gave price nan at t = {t}; "):
-        simulate(reference_model(3.2), _GapHistory(lo, hi), 10.0, 0.02)
 
 
 @pytest.mark.parametrize("step, n", [(0.03, 1000), (0.03, 105), (0.03, 106), (0.0137, 3000)])
@@ -352,28 +231,31 @@ def test_simulate_calls_the_demand_once_per_block(step, n):
     config = dataclasses.replace(
         reference_model(tau), demand=NumericWrapper(func=reciprocal, domain_lo=0.0)
     )
-    simulate(config, ConstantHistory(0.025), n * step, step)
+    simulate(config, 0.025, n * step, step)
     block = math.ceil(tau / step) - 2
     assert len(calls) == math.ceil(n / block)
     assert calls[0] == (2 * min(block, n) + 1,)
 
 
-def test_constant_history_validation():
-    with pytest.raises(ValidationError):
-        ConstantHistory(-1.0)
-    with pytest.raises(ValidationError):
-        ConstantHistory(0.0)
+@pytest.mark.parametrize("p0", [0.0, -1.0, math.nan, math.inf],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_simulate_refuses_a_bad_history_price(p0):
+    # checked before anything else, so a nan does not reach the demand
+    # and fail later on "price nan"
+    with pytest.raises(ValidationError,
+                       match=rf"^history price must be positive and finite, got {p0!r}$"):
+        simulate(reference_model(3.2), p0, 10.0, 0.02)
 
 
 def test_simulate_validation():
     model = reference_model(3.2)
-    hist = ConstantHistory(0.02)
+    p0 = 0.02
     with pytest.raises(ValidationError):
-        simulate(model, hist, t_end=100.0, step=0.0)
+        simulate(model, p0, t_end=100.0, step=0.0)
     with pytest.raises(ValidationError):
-        simulate(model, hist, t_end=100.0, step=0.5)  # > tau/10
+        simulate(model, p0, t_end=100.0, step=0.5)  # > tau/10
     with pytest.raises(ValidationError):
-        simulate(model, hist, t_end=0.05, step=0.01)  # < 10 steps
+        simulate(model, p0, t_end=0.05, step=0.01)  # < 10 steps
 
 
 @pytest.mark.parametrize(
@@ -387,7 +269,7 @@ def test_simulate_validation():
 )
 def test_simulate_rejects_nodes_beyond_memory(tau, t_end, step):
     with pytest.raises(ValidationError, match="bytes of memory"):
-        simulate(reference_model(tau), ConstantHistory(0.02), t_end=t_end, step=step)
+        simulate(reference_model(tau), 0.02, t_end=t_end, step=step)
 
 
 @pytest.mark.parametrize("tau", [1e308, 1e300, 1e20])
@@ -395,17 +277,17 @@ def test_simulate_refuses_a_lag_beyond_the_node_indices(tau):
     # tau/step overflows to inf at 1e308; at 1e300 and 1e20 it is finite
     # but beyond the int64 node indices, which numpy would cast with a warning
     with pytest.raises(ValidationError, match=r"tau/step = .* must be below 2\*\*63"):
-        simulate(reference_model(tau), ConstantHistory(0.02), t_end=1.0, step=0.05)
+        simulate(reference_model(tau), 0.02, t_end=1.0, step=0.05)
 
 
 def test_simulate_memory_bound_is_exact(monkeypatch):
     # Pretend the machine holds exactly the 101 nodes of 100 steps.
     monkeypatch.setattr(dde, "_memory_bytes", lambda: 16 * 101)
     model = reference_model(3.2)
-    hist = ConstantHistory(0.02)
-    assert len(simulate(model, hist, t_end=2.0, step=0.02).values) == 101
+    p0 = 0.02
+    assert len(simulate(model, p0, t_end=2.0, step=0.02).values) == 101
     with pytest.raises(ValidationError, match="bytes of memory"):
-        simulate(model, hist, t_end=2.02, step=0.02)
+        simulate(model, p0, t_end=2.02, step=0.02)
 
 
 # Far from equilibrium a delayed price of 1e3 against p* = 0.02 gives the
@@ -417,37 +299,39 @@ def _underflow_model():
 
 def test_positivity_loss_reports_time():
     with pytest.raises(PositivityLoss) as excinfo:
-        simulate(_underflow_model(), ConstantHistory(1e3), t_end=10.0, step=1.0)
+        simulate(_underflow_model(), 1e3, t_end=10.0, step=1.0)
     assert excinfo.value.time == 1.0
     assert "positive" in str(excinfo.value).lower()
 
 
 def test_positivity_loss_mid_block_reports_node_time():
-    # lag = 10 steps, so steps 0-7 form the first block; only steps 3 and 4
-    # read the spike, and the end of step 3 underflows node t = 4 to 0.0
-    # while the nodes after it in the same block are computed too
-    hist = SampledHistory(
-        times=(-10.0, -6.5, -6.0, -5.5, -5.0, 0.0),
-        values=(0.02, 0.02, 1e3, 1e3, 0.02, 0.02),
-    )
+    # lag = 10 steps, so steps 0-7 form the first block; a constant demand
+    # c - 207 shrinks the price by exp(-207) a step, so from 1e3 node t = 4
+    # underflows to 0.0 while the nodes after it in the same block are
+    # computed too
+    demand = NumericWrapper(func=lambda p: 0.0 * p + (C - 207.0))
+    model = ModelConfig(k=1.0, c=C, tau=10.0, demand=demand)
     for run in (simulate, scalar_simulate):
         with pytest.raises(PositivityLoss) as excinfo:
-            run(_underflow_model(), hist, 10.0, 1.0)
+            run(model, 1e3, 10.0, 1.0)
         assert excinfo.value.time == 4.0
 
 
 def test_positivity_loss_before_the_product_turns_nan_reports_node_time():
-    # as above, plus a dip to 1e-6 read by step 6: its factor overflows to
-    # inf, so node 7 and the block's last node 8 are 0 inf = nan, yet the
-    # run fails at node 4 with PositivityLoss, not with a non-finite price
-    hist = SampledHistory(
-        times=(-10.0, -6.5, -6.0, -5.5, -5.0, -4.0, -3.5, -3.0, 0.0),
-        values=(0.02, 0.02, 1e3, 1e3, 0.02, 0.02, 1e-6, 0.02, 0.02),
+    # the price grows by e a step from 1 until the delayed price leaves 1.5
+    # (step 10 reads t = 0.5): then the rate -1000 underflows node t = 11 to
+    # 0.0, and delayed prices above 100 give the rate +1000, whose factor
+    # overflows to inf, so the block's last node 16 is 0 inf = nan; yet the
+    # run fails at node 11 with PositivityLoss, not with a non-finite price
+    c = 50.0
+    demand = NumericWrapper(
+        func=lambda p: np.where(p < 1.5, c + 1.0, np.where(p < 100.0, c - 1000.0, c + 1000.0))
     )
+    model = ModelConfig(k=1.0, c=c, tau=10.0, demand=demand)
     for run in (simulate, scalar_simulate):
         with pytest.raises(PositivityLoss) as excinfo:
-            run(_underflow_model(), hist, 10.0, 1.0)
-        assert excinfo.value.time == 4.0
+            run(model, 1.0, 20.0, 1.0)
+        assert excinfo.value.time == 11.0
 
 
 def test_domain_violation_matches_scalar_loop():
@@ -464,7 +348,7 @@ def test_domain_violation_matches_scalar_loop():
     prices = []
     for run in (simulate, scalar_simulate):
         with pytest.raises(DomainViolation, match=r"^price \S+ outside") as excinfo:
-            run(model, ConstantHistory(0.021), 2000.0, 0.02)
+            run(model, 0.021, 2000.0, 0.02)
         prices.append(float(str(excinfo.value).split()[1]))
     assert prices[0] > 0.0245
     assert prices[0] == pytest.approx(prices[1], rel=1e-12, abs=0.0)
@@ -472,17 +356,17 @@ def test_domain_violation_matches_scalar_loop():
 
 def test_numeric_wrapper_errors_in_simulate():
     # simulate calls the wrapped callable on arrays of delayed prices
-    hist = ConstantHistory(0.025)
+    p0 = 0.025
     scalar_only = NumericWrapper(func=lambda p: 1.0 / float(p), label="scalar only")
     with pytest.raises(ValidationError, match="accepts complex numpy arrays"):
-        simulate(dataclasses.replace(reference_model(3.2), demand=scalar_only), hist, 10.0, 0.02)
+        simulate(dataclasses.replace(reference_model(3.2), demand=scalar_only), p0, 10.0, 0.02)
     # exp(30/p) overflows at the history price: inf on the array instead of
     # OverflowError, and still one NumericalError with no numpy warning
     steep = NumericWrapper(func=lambda p: np.exp(30.0 / p), label="steep")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="non-finite"):
-            simulate(dataclasses.replace(reference_model(3.2), demand=steep), hist, 10.0, 0.02)
+            simulate(dataclasses.replace(reference_model(3.2), demand=steep), p0, 10.0, 0.02)
 
 
 def _demand(family, w, alpha):
@@ -524,7 +408,7 @@ def test_nodes_scale_exactly_with_price_and_time(
     def run(k, w, tau, history_p0, step):
         config = ModelConfig(k=k, c=C, tau=tau, demand=_demand(family, w, alpha))
         try:
-            return simulate(config, ConstantHistory(history_p0), n * step, step)
+            return simulate(config, history_p0, n * step, step)
         except NumericalError as exc:
             return exc
 
@@ -553,7 +437,7 @@ def test_positivity_loss_carries_time_attribute():
 def test_trajectory_roundtrip_exact(tmp_path):
     # 17 significant digits reproduce every double exactly
     model = reference_model(3.2)
-    traj = simulate(model, ConstantHistory(0.025), t_end=50.0, step=0.05)
+    traj = simulate(model, 0.025, t_end=50.0, step=0.05)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(traj, path)
     t, p = read_trajectory_csv(path)
@@ -580,7 +464,7 @@ CHUNK_EDGES = [dde.CSV_CHUNK_ROWS - 1, dde.CSV_CHUNK_ROWS, dde.CSV_CHUNK_ROWS + 
 
 
 @pytest.mark.parametrize("make", [
-    lambda: simulate(reference_model(3.2), ConstantHistory(0.025), t_end=50.0, step=0.05),
+    lambda: simulate(reference_model(3.2), 0.025, t_end=50.0, step=0.05),
     lambda: cubic_trajectory(1001),
     lambda: Trajectory(step=0.1, values=np.array([0.02, 1 / 3]), derivs=np.zeros(2)),
     *(lambda n=n: cubic_trajectory(n) for n in CHUNK_EDGES),

@@ -11,7 +11,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hopfdual import (
-    ConstantHistory,
     DemandFunction,
     DomainViolation,
     ModelConfig,
@@ -72,7 +71,7 @@ def test_numeric_wrapper_matches_analytic_reciprocal():
 
 
 @pytest.mark.parametrize("domain_hi, hi", [(math.inf, None), (0.04, 0.04)])
-def test_numeric_wrapper_derivatives_are_ridders_derivatives(domain_hi, hi):
+def test_numeric_wrapper_derivatives_are_the_accepted_circle_jet(domain_hi, hi):
     """derivatives(p) is the numdiff.derivative jet of the circle
     numdiff.circle accepts, bit for bit; this curve keeps the default
     radius, and an infinite upper bound acts as no bound."""
@@ -180,7 +179,7 @@ def test_family_needs_only_x_complex_and_derivatives():
     chain, reference = analyze(model), analyze(same)
     assert chain.linear.tau0 == pytest.approx(math.pi, rel=1e-12)
     assert chain.normal_form.tau2 == pytest.approx(reference.normal_form.tau2, rel=1e-9)
-    traj, ref = (simulate(dataclasses.replace(m, tau=3.2), ConstantHistory(0.025), 200.0, 0.02)
+    traj, ref = (simulate(dataclasses.replace(m, tau=3.2), 0.025, 200.0, 0.02)
                  for m in (model, same))
     np.testing.assert_allclose(traj.values, ref.values, rtol=1e-12, atol=0)
 

@@ -9,7 +9,6 @@ import pytest
 from conftest import logistic_model, reference_model, subcritical_model
 from hopfdual import (
     Chain,
-    ConstantHistory,
     CycleStability,
     DegenerateBifurcation,
     Direction,
@@ -313,8 +312,7 @@ def test_normal_form_predicts_cycles_off_wright(family, delta):
     assert nf.tau0 == pytest.approx(math.pi, rel=1e-12)
     assert nf.tau2 == pytest.approx(tau2, rel=1e-4)
     tau = nf.tau0 + delta
-    traj = simulate(dataclasses.replace(model, tau=tau), ConstantHistory(1.25 * p_star),
-                    16000.0, 0.01)
+    traj = simulate(dataclasses.replace(model, tau=tau), 1.25 * p_star, 16000.0, 0.01)
     est = estimate_cycle(traj, p_star)
     pred = predicted_cycle(nf, tau)
     assert abs(est.amplitude / pred.amplitude - 1.0) <= 0.75 * delta

@@ -203,9 +203,8 @@ def test_radius_shrinks_past_overflow_without_numpy_warnings():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-def test_ridders_non_finite_small_steps(bad):
-    # named after the Ridders test of samples that turn non-finite below a
-    # step; here it is the circle: finite on wide circles, bad below a radius
+def test_non_finite_samples_shrink_the_circle_or_raise(bad):
+    # samples finite on wide circles and bad below a radius, or the reverse
     def narrow_bad(p):
         return np.where(np.abs(p - 1.0) < 0.1, bad, 1.0 / p)
 
@@ -232,10 +231,9 @@ def test_ridders_non_finite_small_steps(bad):
             mixed_partial(lambda u, v: np.full(np.broadcast(u, v).shape, bad), 0.1, 0.1)
 
 
-def test_ridders_safe_stop_and_full_run():
-    # named after the Ridders test of its early stop and its full run of
-    # twelve steps; the radius guard stops at the first circle that passes
-    # and gives up after a full run of 30 halvings
+def test_circle_stops_at_the_first_passing_radius_or_after_30_halvings():
+    # the radius guard stops at the first circle that passes and gives up
+    # after a full run of 30 halvings
     def radii(f):
         f, calls = _recorded(f)
         try:

@@ -1,5 +1,5 @@
 """README.md: every `$ hopfdual ...` example prints what the README shows,
-and the example configuration file loads."""
+the example configuration file loads, and the library example runs."""
 
 import re
 import shlex
@@ -34,3 +34,11 @@ def test_readme_config_example_loads(tmp_path):
     path.write_text(ini, encoding="utf-8")
     cfg = load_config(str(path))
     assert cfg.to_sections()["simulation"]["tau_list"] == [3.15, 3.25, 3.35]
+
+
+def test_readme_library_example_runs(capsys):
+    code = re.search(r"^## Library use\n\n```python\n(.*?)^```$", README, re.M | re.S).group(1)
+    exec(code, {})
+    predicted, measured = map(float, capsys.readouterr().out.split())
+    # the normal form's period against the simulated one at tau = 3.2
+    assert measured == pytest.approx(predicted, rel=1e-3)
