@@ -112,7 +112,7 @@ def _refine_extremum(w: np.ndarray, idx: int) -> float:
     """Parabolic vertex through the sample and its neighbors."""
     if idx <= 0 or idx >= len(w) - 1:
         return float(w[idx])
-    y0, y1, y2 = float(w[idx - 1]), float(w[idx]), float(w[idx + 1])
+    y0, y1, y2 = w[idx - 1:idx + 2].tolist()
     curv = y0 - 2.0 * y1 + y2
     if abs(curv) < 1e-300:
         return y1
@@ -198,11 +198,11 @@ def estimate_cycle(traj: Trajectory, p_star: float) -> CycleEstimate:
         )
 
     amps = []
-    for j in range(len(ci) - 1):
-        seg = slice(ci[j], ci[j + 1] + 2)
-        base = seg.start
-        peak = _refine_extremum(w, base + int(np.argmax(w[seg])))
-        trough = _refine_extremum(w, base + int(np.argmin(w[seg])))
+    starts = ci.tolist()
+    for base, end in zip(starts, starts[1:]):
+        cycle = w[base:end + 2]
+        peak = _refine_extremum(w, base + int(cycle.argmax()))
+        trough = _refine_extremum(w, base + int(cycle.argmin()))
         amps.append((peak - trough) / 2.0)
     amplitude = float(np.mean(amps))
 

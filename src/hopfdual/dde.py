@@ -8,28 +8,24 @@ the start price p0 for t - tau <= 0: the history on [-tau, 0] is constant.
 Once the delayed price is known the equation is scalar and linear in p:
 p' = a(t) p with a = k (x(p(t - tau)) - c), whose exact step is
 p_{n+1} = p_n exp(integral of a over the step) (the first Magnus term is
-the whole solution of a scalar linear equation). With the scaled rates
-u = h a (h the step) at t_n, t_n + h/2 and t_n + h (u0, u1 and u2),
-Simpson's rule gives that integral, and each step is a growth factor
-R_n = exp((u0 + 4 u1 + u2)/6), of fourth order like RK4, whose growth
+the whole solution of a scalar linear equation). With the rates r = x - c
+at t_n, t_n + h/2 and t_n + h (r0, r1, r2; h the step), Simpson's rule
+gives that integral, and each step is a growth factor
+R_n = exp(h k (r0 + 4 r1 + r2)/6), of fourth order like RK4, whose growth
 factor is only the degree-4 polynomial of this exponential. As R_n > 0, a
 price can lose positivity only by underflow to 0.0. With
 lag = tau/step >= 10, the delayed prices of the next m = ceil(lag) - 2
 steps (at least 8) all lie between nodes that are already computed.
 `simulate` advances one such block at a time: it evaluates the block's
-delayed prices at once (they form a half-step grid of 2m + 1 points, as
-the end of a step is the start of the next), calls the demand once on
-that array, and takes the nodes as a running product of the growth
-factors. The node values and slopes h d (derivative times step) are the
-two rows of one array, so one gather at a fixed index, relative to the
-first node the block reads, takes all four Hermite inputs of a block, and
-no Hermite weight carries a factor h; the slope row is divided by h once,
-in place, when the run is done. Only the first blocks, whose points still
-lie in the history, gather at absolute, clipped indices, and then fill
-those points with p0. The views into the block buffers are built once and
-reused by every full block; a shorter block (the last one, or one cut
-short by a domain violation) slices them again. The block length follows
-from tau/step; it is not a setting.
+2m + 1 delayed prices at once (the end of a step is the start of the
+next), calls the demand once on them, takes every Simpson sum as one
+matrix product of the steps' rate windows with h k (1, 4, 1)/6, and the
+nodes as a running product of the factors. The node values and slopes
+(x - c) p = d/k are the two rows of one array, so one gather at a fixed
+index, relative to the first node the block reads, takes all four Hermite
+inputs of a block; the slopes' Hermite weights carry h k, and the slope
+row is multiplied by k once, in place, when the run is done. The block
+length follows from tau/step; it is not a setting.
 
 The node derivative stored for Hermite interpolation is the exact
 right-hand side at the node, a(t_n) p_n, which makes the dense output C^1
@@ -48,6 +44,7 @@ from typing import Union
 
 import numpy as np
 
+from . import numdiff
 from .errors import (
     DelayedLookupGap,
     DomainViolation,
@@ -186,8 +183,9 @@ def simulate(
     ValidationError
         If p0 is not a positive, finite price (checked first), if the
         delay, step or t_end is invalid, if the t_end/step + 1 nodes
-        would take more bytes than the machine's physical memory, or if
-        tau/step is not below 2**63 (an overflow to inf included).
+        would take more bytes than the machine's physical memory, if
+        tau/step is not below 2**63 (an overflow to inf included), or if
+        the demand returns no real array of the delayed prices' shape.
     PositivityLoss
         If a computed node price underflows to 0.0 (time reported): each
         step multiplies the price by a factor exp(...) > 0, so this is the
@@ -226,8 +224,8 @@ def simulate(
     h = step
 
     k, c, demand = config.k, config.c, config.demand
-    # In units of h, step i reads the delayed price at i - lag (u0),
-    # i + 1/2 - lag (u1) and i + 1 - lag (u2, which is u0 of step i + 1).
+    # In units of h, step i reads the delayed price at i - lag (r0),
+    # i + 1/2 - lag (r1) and i + 1 - lag (r2, which is r0 of step i + 1).
     # For steps s .. s+b-1 these are the 2b + 1 points s + q/2 - lag of a
     # half-step grid; point q lies between nodes s + left[q] and
     # s + left[q] + 1, with weights that depend only on q.
@@ -238,9 +236,10 @@ def simulate(
     half = np.arange(2 * block + 1) / 2.0
     offset = half - lag
     left = np.floor(offset)
-    # weights[r] multiplies gathered row r: v_j, h d_j, v_{j+1}, h d_{j+1}
-    # (node values v, slopes h d), so no weight carries a factor h.
+    # weights[r] multiplies gathered row r: v_j, s_j, v_{j+1}, s_{j+1} (node
+    # values v, slopes s = d/k for derivatives d), so w10 and w11 carry h k.
     weights = np.array(_hermite_weights(offset - left))
+    weights[1::2] *= h * k
     left = left.astype(int)
     first = int(left[0])
 
@@ -262,18 +261,19 @@ def simulate(
     delayed = np.empty(2 * block + 1)
     rate = np.empty(2 * block + 1)
     growth = np.empty(block + 1)
+    # Row i of this read-only view of the float64 rates holds step i's r0, r1, r2:
+    # sliding_window_view(rate, 3)[::2] without its first call's 0.25 MB (numpy 2.4).
+    windows = np.lib.stride_tricks.as_strided(rate, (block, 3), (16, 8), writeable=False)
+    simpson = h * k * np.array([1.0, 4.0, 1.0]) / 6.0
 
     def views(b):
-        """Views of the block buffers for b steps: the scaled rates u at all
-        2b + 1 points and at the b + 1 nodes; u0, u1, u2 (the rates at the
-        start, middle and end of each step); the growth factors with the
-        block's first node in front, and without it."""
-        u = rate[:2 * b + 1]
-        return (u, u[::2], u[0:-1:2], u[1::2], u[2::2], growth[:b + 1], growth[1:b + 1])
+        """Views for b steps: the rates at all 2b + 1 points and at the nodes,
+        the steps' windows, the growth buffer (first node, then factors), the factors."""
+        r = rate[:2 * b + 1]
+        return r, r[::2], windows[:b], growth[:b + 1], growth[1:b + 1]
 
     # A full block uses these; only a shorter one slices again.
     full = views(block)
-    hk = h * k
     s = 0
     # Overflow to inf or nan in a block is reported by the node check below.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -285,7 +285,7 @@ def simulate(
             else:
                 flat.take(index + start, out=gathered, mode="clip")
             gathered *= weights
-            # Summed row by row: ((w00 v_j + w10 h d_j) + w01 v_{j+1}) + w11 h d_{j+1}
+            # Summed row by row: ((w00 v_j + w10 s_j) + w01 v_{j+1}) + w11 s_{j+1}
             np.add.reduce(gathered, axis=0, out=delayed)
             if start < 0:
                 delayed[:int(np.searchsorted(left, -s))] = p0
@@ -301,14 +301,13 @@ def simulate(
                 if b <= 0:
                     raise
                 x = demand.rates(delayed[:2 * b + 1])
-            u, u_nodes, u0, u1, u2, grow, factors = full if b == block else views(b)
-            np.subtract(x, c, out=u)
-            u *= hk
-            # growth = exp((u0 + 4 u1 + u2)/6): Simpson's rule on the rates
-            np.multiply(u1, 4.0, out=factors)
-            factors += u0
-            factors += u2
-            factors /= 6.0
+            r, r_nodes, triples, grow, factors = full if b == block else views(b)
+            try:
+                np.subtract(x, c, out=r)
+            except (TypeError, ValueError) as exc:  # another shape, or complex
+                raise numdiff.array_contract_error(exc) from exc
+            # growth = exp(h k (r0 + 4 r1 + r2)/6), Simpson's rule on the rates
+            np.matmul(triples, simpson, out=factors)
             np.exp(factors, out=factors)
             nodes = values[s:s + b + 1]
             grow[0] = nodes[0]
@@ -323,12 +322,12 @@ def simulate(
                 _check_node(float(tail[i]), (s + i + 1) * h)
             # Node s + b gets its slope here too: the last block thus fills
             # slopes[n], and the next block recomputes the same value.
-            np.multiply(u_nodes, nodes, out=slopes[s:s + b + 1])
+            np.multiply(r_nodes, nodes, out=slopes[s:s + b + 1])
             s += b
 
     # The slope row becomes the derivative row in place: a second array of
     # n + 1 floats would raise the run's peak memory.
-    slopes /= h
+    slopes *= k
     return Trajectory(step=h, values=values, derivs=slopes)
 
 

@@ -134,6 +134,8 @@ def test_block_integrator_matches_scalar_loop(case):
     n=st.integers(10, 250),
     p0=st.floats(0.01, 0.04),
 )
+# p0 = p*: every derivative is round-off of the exact zero x(p*) - c
+@example(whole=16, fraction=0.928240750962663, n=49, p0=0.02)
 def test_block_integrator_matches_scalar_loop_at_any_lag(whole, fraction, n, p0):
     # tau/h off the integers, and runs from under one block to a few blocks,
     # so that blocks start at every offset from the end of the history
@@ -144,8 +146,12 @@ def test_block_integrator_matches_scalar_loop_at_any_lag(whole, fraction, n, p0)
     values, derivs = scalar_simulate(config, p0, n * step, step)
     assert len(traj.values) == n + 1
     np.testing.assert_allclose(traj.values, values, rtol=1e-12, atol=0)
+    # x - c cancels to a few ulps of c near the equilibrium, so a derivative
+    # k (x - c) p carries an absolute round-off of about eps k c p
+    cancellation = 4 * np.finfo(float).eps * config.k * config.c * np.max(values)
     np.testing.assert_allclose(
-        traj.derivs, derivs, rtol=1e-12, atol=1e-12 * np.max(np.abs(derivs))
+        traj.derivs, derivs, rtol=1e-12,
+        atol=max(1e-12 * np.max(np.abs(derivs)), cancellation),
     )
 
 
@@ -367,6 +373,45 @@ def test_numeric_wrapper_errors_in_simulate():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="non-finite"):
             simulate(dataclasses.replace(reference_model(3.2), demand=steep), p0, 10.0, 0.02)
+
+
+@pytest.mark.parametrize("func, numpy_error", [
+    (lambda p: np.array([50.0, 50.0]), ValueError),
+    (lambda p: 1 / p + 0j, TypeError),
+], ids=["wrong_shape", "complex"])
+def test_demand_result_that_breaks_the_array_contract_in_simulate(func, numpy_error):
+    # the wrapped callable runs on the block's delayed prices: a result of
+    # another shape, or complex values on real prices, breaks the array
+    # contract and is reported as such, not as numpy's broadcast or cast error
+    config = dataclasses.replace(reference_model(3.2), demand=NumericWrapper(func=func))
+    with pytest.raises(ValidationError, match="accepts complex numpy arrays") as excinfo:
+        simulate(config, 0.025, 10.0, 0.02)
+    assert isinstance(excinfo.value.__cause__, numpy_error)
+
+
+# Steps of the shorter and the longer run; blocks are ceil(tau/step) - 2
+# steps long: 105 at step 0.03, 318 at 0.01, 8 at 0.32 and 163 at 0.02.
+@pytest.mark.parametrize("tau, step, t_short, t_long", [
+    (3.2, 0.03, 10.0, 40.0),  # 333 of 1333: three blocks and 18 steps
+    (3.2, 0.03, 3.0, 40.0),  # 100: shorter than one block
+    (3.2, 0.03, 3.15, 40.0),  # 105: one block
+    (3.2, 0.03, 3.18, 3.21),  # 106 of 107: one block and one step
+    (3.2, 0.01, 2.0, 30.0),  # 200 of 3000: shorter than one block
+    (3.2, 0.32, 3.2, 96.0),  # tau/step = 10: 10 of 300, one block and 2 steps
+    (3.2, 0.32, 35.2, 96.0),  # 110 of 300: 13 blocks and 6 steps
+    (3.3, 0.02, 100.0, 500.0),  # 5000 of 25000, above the onset
+])
+def test_a_longer_run_extends_a_shorter_one_bit_for_bit(tau, step, t_short, t_long):
+    # the nodes up to T do not depend on how far past T the run goes, nor
+    # on where its blocks end; this holds the views of a short last block
+    # (and blocks as long as a short run) to those of a full block
+    model = reference_model(tau)
+    short = simulate(model, 0.025, t_short, step)
+    long = simulate(model, 0.025, t_long, step)
+    m = len(short.values)
+    assert len(long.values) > m
+    assert np.array_equal(short.values, long.values[:m])
+    assert np.array_equal(short.derivs, long.derivs[:m])
 
 
 def _demand(family, w, alpha):
