@@ -47,7 +47,6 @@ from .dde import (
 )
 from .errors import (
     DegenerateBifurcation,
-    DelayedLookupGap,
     DomainViolation,
     ExpansionInvalid,
     HopfDualError,
@@ -98,7 +97,6 @@ __all__ = [
     "CyclePrediction",
     "CycleStability",
     "DegenerateBifurcation",
-    "DelayedLookupGap",
     "DemandFunction",
     "DiagramRow",
     "Direction",

@@ -68,20 +68,20 @@ _ZERO_RTOL = 1e-8
 # output and the CSVs keep the value.
 _ROUNDOFF = 1e-10
 
+# `[output] waveform` samples the predicted cycle over this many periods,
+# 200 samples a period.
+WAVEFORM_PERIODS = 5
+
 
 def _clean(obj):
     """JSON-safe copy: dataclasses to dicts of their fields, enums to values,
-    NaN/inf to None, arrays to lists."""
+    NaN/inf to None."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {key: _clean(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_clean(value) for value in obj]
-    if isinstance(obj, np.ndarray):
-        return [_clean(value) for value in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     if isinstance(obj, enum.Enum):
@@ -315,12 +315,11 @@ def cmd_predict(cfg: RunConfig, argv: list[str]) -> int:
     if pred.warning:
         lines.append(f"warning: {pred.warning}")
     if cfg.waveform:
-        n = cfg.periods * 200
-        t = np.linspace(0.0, cfg.periods * pred.period, n + 1)
+        t = np.linspace(0.0, WAVEFORM_PERIODS * pred.period, WAVEFORM_PERIODS * 200 + 1)
         write_csv_columns(cfg.waveform, "t,p_pred", t, pred.sample(t))
         _write_sidecar(cfg.waveform, "predict", argv, cfg)
         report["waveform"] = cfg.waveform
-        lines.append(f"waveform written to {cfg.waveform} ({cfg.periods} periods)")
+        lines.append(f"waveform written to {cfg.waveform} ({WAVEFORM_PERIODS} periods)")
     _emit(report, lines, cfg, "predict", argv)
     return 0
 
@@ -335,21 +334,20 @@ def _coefficient_rows(model: ModelConfig, eq: Equilibrium) -> list[dict]:
     oracle_map = numeric_taylor_oracle(model, eq).as_dict()
     scale = max(1.0, max(abs(v) for v in closed_map.values()))
     rows = []
-    for name in ("b1", "b2", "b3", "b4", "b5", "b6", "b7", "b8", "b9"):
-        cf, ov = closed_map[name], oracle_map[name]
+    for name, cf in closed_map.items():
+        ov = oracle_map[name]
         if cf == 0.0:
+            ratio = rel_diff = None
             status = "match" if abs(ov) <= _ZERO_RTOL * scale else "mismatch"
-            rows.append({"name": name, "closed_form": cf, "oracle": ov,
-                         "ratio": None, "rel_diff": None, "status": status})
-            continue
-        ratio = ov / cf
-        rel_diff = abs(ov - cf) / abs(cf)
-        if rel_diff <= _MATCH_RTOL:
-            status = "match"
-        elif name in _CONVENTION_RATIOS and abs(ratio - _CONVENTION_RATIOS[name]) <= _CONVENTION_ATOL:
-            status = "paper-convention"
         else:
-            status = "mismatch"
+            ratio = ov / cf
+            rel_diff = abs(ov - cf) / abs(cf)
+            if rel_diff <= _MATCH_RTOL:
+                status = "match"
+            elif name in _CONVENTION_RATIOS and abs(ratio - _CONVENTION_RATIOS[name]) <= _CONVENTION_ATOL:
+                status = "paper-convention"
+            else:
+                status = "mismatch"
         rows.append({"name": name, "closed_form": cf, "oracle": ov,
                      "ratio": ratio, "rel_diff": rel_diff, "status": status})
     return rows

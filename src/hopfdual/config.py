@@ -107,9 +107,6 @@ SETTINGS: dict[str, dict[str, Setting]] = {
         "out": Setting("out", str, help="write the main output file", metavar="FILE"),
         "json": Setting("json_output", parse_bool, help="print the JSON report instead of text"),
         "waveform": Setting("waveform", str),
-        # periods sizes the waveform array: the upper bound keeps a typo
-        # from allocating before any output is written
-        "periods": Setting("periods", int, (lambda n: 1 <= n <= 1000, "in [1, 1000]")),
     },
 }
 
@@ -131,7 +128,6 @@ class RunConfig:
     out: str | None = None
     json_output: bool = False
     waveform: str | None = None
-    periods: int = 5
 
     def validate(self) -> None:
         """Raise ValidationError for the first setting that breaks its rule."""

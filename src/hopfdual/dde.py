@@ -46,7 +46,6 @@ import numpy as np
 
 from . import numdiff
 from .errors import (
-    DelayedLookupGap,
     DomainViolation,
     NumericalError,
     PositivityLoss,
@@ -66,6 +65,14 @@ def _hermite_weights(th):
     h01 = -2 * th**3 + 3 * th**2
     h11 = th**3 - th**2
     return h00, h10, h01, h11
+
+
+def _check_step(step: float) -> None:
+    """Raise ValidationError unless step is positive and finite."""
+    if step <= 0:
+        raise ValidationError(f"step must be positive, got {step!r}")
+    if not math.isfinite(step):
+        raise ValidationError(f"step must be finite, got {step!r}")
 
 
 @dataclass(frozen=True)
@@ -88,8 +95,7 @@ class Trajectory:
     derivs: np.ndarray
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValidationError(f"step must be positive, got {self.step!r}")
+        _check_step(self.step)
         if len(self.values) < 2 or len(self.values) != len(self.derivs):
             raise ValidationError("trajectory needs >= 2 nodes with matching derivatives")
 
@@ -111,7 +117,7 @@ class Trajectory:
         slack = 1e-9 * self.step
         # Written so that a nan time fails the check too.
         if not np.all((t >= -slack) & (t <= self.t_end + slack)):
-            raise DelayedLookupGap(f"dense output requested outside [0, {self.t_end:g}]")
+            raise ValidationError(f"dense output requested outside [0, {self.t_end:g}]")
         pos = np.clip(t / self.step, 0.0, len(self.values) - 1.0)
         j = np.minimum(pos.astype(int), len(self.values) - 2)
         h00, h10, h01, h11 = _hermite_weights(pos - j)
@@ -169,9 +175,9 @@ def simulate(
         Price on all of [-tau, 0], and the first node; must be positive
         and finite.
     t_end : float
-        Final time; must be at least 10 steps long.
+        Final time; must be finite and at least 10 steps long.
     step : float
-        Uniform step size; must satisfy step <= tau/10.
+        Uniform step size; must be finite and satisfy step <= tau/10.
 
     Returns
     -------
@@ -199,10 +205,11 @@ def simulate(
     tau = config.tau
     if not tau > 0:
         raise ValidationError(f"simulate needs a positive delay tau, got {tau!r}")
-    if step <= 0:
-        raise ValidationError(f"step must be positive, got {step!r}")
+    _check_step(step)
     if step > tau / 10.0:
         raise ValidationError(f"step {step!r} exceeds tau/10 = {tau / 10.0!r}")
+    if not math.isfinite(t_end):
+        raise ValidationError(f"t_end must be finite, got {t_end!r}")
     if t_end < 10 * step:
         raise ValidationError(f"t_end {t_end!r} shorter than 10 steps")
     steps = t_end / step

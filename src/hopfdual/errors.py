@@ -57,10 +57,6 @@ class PositivityLoss(NumericalError):
         super().__init__(f"price became nonpositive at t = {time:.6g}")
 
 
-class DelayedLookupGap(NumericalError):
-    """Dense-output lookup outside the covered interval (logic bug guard)."""
-
-
 class TooShort(NumericalError):
     """Trajectory has too few post-transient cycles to measure."""
 

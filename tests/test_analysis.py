@@ -119,6 +119,24 @@ def test_window_starts_at_the_floor_and_stops_at_the_cap():
         assert _first_sample_at(est.transient_end, start * h * (len(traj.values) - 1), h)
 
 
+def test_refine_extremum_keeps_edge_samples_and_flat_vertices():
+    # The first and last sample lack a neighbor, and a flat vertex has no
+    # curvature to divide by: each is returned as it is.
+    w = np.array([3.0, 1.0, 2.0, 2.0, 2.0, 5.0])
+    assert analysis._refine_extremum(w, 0) == 3.0
+    assert analysis._refine_extremum(w, 5) == 5.0
+    assert analysis._refine_extremum(w, 3) == 2.0
+    # (x - 1/4)^2 at x = -1, 0, 1: the vertex between the samples
+    assert analysis._refine_extremum(np.array([1.5625, 0.0625, 0.5625]), 1) == 0.0
+
+
+def test_transient_heuristic_cuts_nothing_before_a_flat_tail():
+    # Two maxima, then a flat trailing quarter leaves no amplitude to
+    # measure their drift against.
+    v = np.array([0.0, 1.0, 0.0, 1.0, 0.0] + [0.5] * 20)
+    assert analysis._transient_heuristic(v, 0.1) == 0.0
+
+
 def _reference_prediction():
     return CyclePrediction(
         tau=3.2, tau0=math.pi, epsilon=2.86e-3, amplitude=2.86e-3, omega=0.49233,

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from conftest import C, K, reference_model
 from hopfdual import dde
 from hopfdual import (
-    DelayedLookupGap,
     DomainViolation,
     ModelConfig,
     NumericalError,
@@ -262,6 +262,12 @@ def test_simulate_validation():
         simulate(model, p0, t_end=100.0, step=0.5)  # > tau/10
     with pytest.raises(ValidationError):
         simulate(model, p0, t_end=0.05, step=0.01)  # < 10 steps
+    # a non-finite step or t_end is named, not reported as "nan steps need
+    # nan bytes" by the memory check
+    for t_end, step, name in [(math.nan, 0.01, "t_end"), (math.inf, 0.01, "t_end"),
+                              (100.0, math.nan, "step"), (100.0, math.inf, "step")]:
+        with pytest.raises(ValidationError, match=rf"^{name} must be finite, got (nan|inf)$"):
+            simulate(model, p0, t_end=t_end, step=step)
 
 
 @pytest.mark.parametrize(
@@ -270,11 +276,12 @@ def test_simulate_validation():
         (3.2, 1e30, 0.01),  # 1e32 nodes, beyond numpy's largest array
         (1e-300, 1.0, 1e-302),  # 1e302 nodes
         (3.2, 1e300, 1e-300),  # t_end/step overflows to inf
-        (3.2, math.nan, 0.01),
+        (3.2, math.nan, 0.01),  # named as non-finite before the memory check
     ],
 )
 def test_simulate_rejects_nodes_beyond_memory(tau, t_end, step):
-    with pytest.raises(ValidationError, match="bytes of memory"):
+    match = "bytes of memory" if math.isfinite(t_end) else r"^t_end must be finite, got nan$"
+    with pytest.raises(ValidationError, match=match):
         simulate(reference_model(tau), 0.02, t_end=t_end, step=step)
 
 
@@ -284,6 +291,15 @@ def test_simulate_refuses_a_lag_beyond_the_node_indices(tau):
     # but beyond the int64 node indices, which numpy would cast with a warning
     with pytest.raises(ValidationError, match=r"tau/step = .* must be below 2\*\*63"):
         simulate(reference_model(tau), 0.02, t_end=1.0, step=0.05)
+
+
+def test_memory_falls_back_to_the_largest_array_size(monkeypatch):
+    def no_sysconf(name):
+        raise OSError("not reported")
+
+    monkeypatch.setattr(dde.os, "sysconf", no_sysconf)
+    assert dde._memory_bytes() == sys.maxsize
+    assert len(simulate(reference_model(3.2), 0.02, t_end=2.0, step=0.02).values) == 101
 
 
 def test_simulate_memory_bound_is_exact(monkeypatch):
@@ -575,21 +591,22 @@ def test_dense_output_outside_range():
         values=np.array([1.0, 2.0, 3.0]),
         derivs=np.array([0.0, 0.0, 0.0]),
     )
-    with pytest.raises(DelayedLookupGap):
+    with pytest.raises(ValidationError):
         traj.at(-0.5)
-    with pytest.raises(DelayedLookupGap):
+    with pytest.raises(ValidationError):
         traj.at(2.5)
-    with pytest.raises(DelayedLookupGap):
+    with pytest.raises(ValidationError):
         traj.at(math.nan)
-    with pytest.raises(DelayedLookupGap):
+    with pytest.raises(ValidationError):
         traj.at(np.array([0.5, math.nan, 1.5]))
     assert traj.at(2.0) == pytest.approx(3.0, rel=1e-15)
 
 
 def test_trajectory_validation():
     ok = np.array([1.0, 2.0])
-    with pytest.raises(ValidationError):
-        Trajectory(step=-1.0, values=ok, derivs=ok)
+    for step in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="^step must be"):
+            Trajectory(step=step, values=ok, derivs=ok)
     with pytest.raises(ValidationError):
         Trajectory(step=1.0, values=np.array([1.0]), derivs=np.array([0.0]))
     with pytest.raises(ValidationError):
