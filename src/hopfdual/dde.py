@@ -1,8 +1,8 @@
 """Direct integration of the delay differential equation.
 
 Method of steps with an exponential step: the delayed price p(t - tau) at
-the start, middle and end of each step is read from cubic Hermite
-interpolation over the already-computed (value, derivative) nodes, or is
+the start, middle and end of each step is read by cubic Hermite
+interpolation between the already-computed (value, derivative) nodes, or is
 the start price p0 for t - tau <= 0: the history on [-tau, 0] is constant.
 
 Once the delayed price is known the equation is scalar and linear in p:
@@ -21,14 +21,15 @@ steps (at least 8) all lie between nodes that are already computed.
 next), calls the demand once on them, takes every Simpson sum as one
 matrix product of the steps' rate windows with h k (1, 4, 1)/6, and the
 nodes as a running product of the factors. The node values and slopes
-(x - c) p = d/k are the two rows of one array, so one gather at a fixed
-index, relative to the first node the block reads, takes all four Hermite
-inputs of a block; the slopes' Hermite weights carry h k, and the slope
-row is multiplied by k once, in place, when the run is done. The block
-length follows from tau/step; it is not a setting.
+(x - c) p = d/k are the two rows of one array whose leading columns of
+zeros stand for the history, so one gather at a fixed index takes all
+four Hermite inputs of every block, and p0 then replaces the points in the
+history. The slopes' Hermite weights carry h k, and the slope row is
+multiplied by k once, in place, when the run is done. The block length
+follows from tau/step; it is not a setting.
 
 The node derivative stored for Hermite interpolation is the exact
-right-hand side at the node, a(t_n) p_n, which makes the dense output C^1
+right-hand side at the node, a(t_n) p_n, which makes the interpolant C^1
 and keeps the delayed lookups fourth-order accurate away from the breaking
 points that propagate from t = 0 at multiples of tau.
 """
@@ -40,7 +41,6 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from .model import ModelConfig
 def _hermite_weights(th):
     """Cubic Hermite basis (h00, h10, h01, h11) at fraction th of a step.
 
-    Dense output at node j + th is h00 v[j] + h10 h d[j] + h01 v[j+1]
+    The interpolant at node j + th is h00 v[j] + h10 h d[j] + h01 v[j+1]
     + h11 h d[j+1] for node values v, node derivatives d and step h.
     """
     h00 = 2 * th**3 - 3 * th**2 + 1
@@ -77,7 +77,8 @@ def _check_step(step: float) -> None:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniform-grid solution samples with node derivatives, the first at t = 0.
+    """Uniform-grid solution samples with node derivatives, the first at t = 0
+    (the constant history before it is leading columns of `simulate`'s node rows).
 
     Attributes
     ----------
@@ -86,8 +87,8 @@ class Trajectory:
     values : numpy.ndarray
         Price at each node.
     derivs : numpy.ndarray
-        Right-hand side at each node (same length), making cubic Hermite
-        dense output available between any two adjacent nodes.
+        Right-hand side at each node (same length): the slopes of the
+        cubic Hermite interpolation that reads the delayed price.
     """
 
     step: float
@@ -110,24 +111,6 @@ class Trajectory:
         t = np.arange(len(self.values), dtype=float)
         t *= self.step
         return t
-
-    def at(self, time: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-        """Dense output by cubic Hermite interpolation at arbitrary times."""
-        t = np.asarray(time, dtype=float)
-        slack = 1e-9 * self.step
-        # Written so that a nan time fails the check too.
-        if not np.all((t >= -slack) & (t <= self.t_end + slack)):
-            raise ValidationError(f"dense output requested outside [0, {self.t_end:g}]")
-        pos = np.clip(t / self.step, 0.0, len(self.values) - 1.0)
-        j = np.minimum(pos.astype(int), len(self.values) - 2)
-        h00, h10, h01, h11 = _hermite_weights(pos - j)
-        out = (
-            h00 * self.values[j]
-            + h10 * self.step * self.derivs[j]
-            + h01 * self.values[j + 1]
-            + h11 * self.step * self.derivs[j + 1]
-        )
-        return float(out) if np.ndim(time) == 0 else out
 
 
 def default_step(tau: float, omega0: float) -> float:
@@ -221,7 +204,7 @@ def simulate(
             f"t_end/step = {steps:.4g} steps need {16.0 * (steps + 1.0):.4g} bytes "
             f"for the trajectory, more than this machine's {memory} bytes of memory"
         )
-    # Node indices run down to about -tau/step and are int64.
+    # Past 2**63 (inf included), tau/step is refused as beyond the node indices.
     lag = tau / step
     if not lag < 2.0**63:
         raise ValidationError(
@@ -247,22 +230,25 @@ def simulate(
     # values v, slopes s = d/k for derivatives d), so w10 and w11 carry h k.
     weights = np.array(_hermite_weights(offset - left))
     weights[1::2] *= h * k
-    left = left.astype(int)
-    first = int(left[0])
+    # pad history columns: enough for the furthest point back, but at most n
+    # (a point left of node -n is in the history at every step), rounded up
+    # to 512 so that a sweep's runs allocate one size, as malloc maps and
+    # faults in fresh pages for a block larger than any it has freed before.
+    left = np.maximum(left, -n).astype(int)
+    pad = -(int(left[0]) // 512) * 512
 
-    # Node values and slopes are the two rows of one (2, n + 1) array, so
-    # flat[j] is node j's value and flat[n + 1 + j] its slope. Point q of a
-    # block at step s reads nodes s + left[q] and s + left[q] + 1, so one
-    # gather at a fixed index into flat[s + left[0]:] reads all four Hermite
-    # inputs of a block. Early blocks, whose first points still lie in the
-    # history (s + left[0] < 0), gather at the clipped absolute index
-    # instead, and p0 then replaces those points. Zeros, not empty, so that
-    # those clipped reads, which may land on any slot, are finite.
-    rel = left - first
-    index = np.stack((rel, rel + n + 1, rel + 1, rel + n + 2))
-    node_rows = np.zeros((2, n + 1))
+    # Node values and slopes are the two rows of one (2, pad + n + 1) array
+    # whose first pad columns, zeros, stand for the history: flat[pad + j] is
+    # node j's value and flat[row + pad + j] its slope. Point q of a block at
+    # step s reads nodes s + left[q] and s + left[q] + 1, so one gather at a
+    # fixed index into flat[s:] reads all four Hermite inputs of every
+    # block; p0 then replaces the history's points.
+    row = pad + n + 1
+    rel = left + pad
+    index = np.stack((rel, rel + row, rel + 1, rel + row + 1))
+    node_rows = np.zeros((2, row))
     flat = node_rows.ravel()
-    values, slopes = node_rows
+    values, slopes = node_rows[:, pad:]
     values[0] = p0
     gathered = np.empty((4, 2 * block + 1))
     delayed = np.empty(2 * block + 1)
@@ -286,15 +272,11 @@ def simulate(
     with np.errstate(over="ignore", invalid="ignore"):
         while s < n:
             b = min(block, n - s)
-            start = s + first
-            if start >= 0:
-                flat[start:].take(index, out=gathered, mode="clip")
-            else:
-                flat.take(index + start, out=gathered, mode="clip")
+            flat[s:].take(index, out=gathered, mode="clip")
             gathered *= weights
             # Summed row by row: ((w00 v_j + w10 s_j) + w01 v_{j+1}) + w11 s_{j+1}
             np.add.reduce(gathered, axis=0, out=delayed)
-            if start < 0:
+            if s < pad:
                 delayed[:int(np.searchsorted(left, -s))] = p0
             try:
                 x = demand.rates(delayed if b == block else delayed[:2 * b + 1])

@@ -32,6 +32,14 @@ def subcritical_model(tau: float = 1.0) -> ModelConfig:
                        demand=NumericWrapper(func=lambda p: np.exp(-p)))
 
 
+def square_root_model(c: float) -> ModelConfig:
+    """x(p) = sqrt(1 - p) on (0, 1), k = 1: p* = 1 - c**2. The normal form's
+    tau2 is negative at c = 0.2 (subcritical, where the paper's is positive)
+    and vanishes at c = 0.5052122127638702."""
+    return ModelConfig(k=1.0, c=c, tau=1.0,
+                       demand=NumericWrapper(lambda p: np.sqrt(1 - p), 0, 1))
+
+
 def logistic_model(tau: float = 1.0) -> ModelConfig:
     """x(p) = 1/(1 + exp(4 (p - 1))), k = 1, c = 0.5: p* = 1 is the curve's
     inflection point, so x''(p*) = 0 and the paper's tau2 vanishes (flagged

@@ -186,14 +186,33 @@ def test_amplitude_converges_far_from_onset():
 
 def test_nodes_satisfy_the_equation():
     # past the first few delay intervals the stored node derivative must
-    # equal the right-hand side evaluated with the interpolated delayed price
+    # equal the right-hand side evaluated with the delayed price, which
+    # here is the node tau/step = 320 steps back (to within rounding)
     model = reference_model(3.2)
     traj = simulate(model, 0.025, t_end=200.0, step=0.01)
-    start = int(round(10 * model.tau / traj.step))
-    for i in range(start, len(traj.values) - 1, 997):
-        t = i * traj.step
-        expect = rhs(model, float(traj.values[i]), traj.at(t - model.tau))
+    assert model.tau / traj.step == pytest.approx(320, rel=0, abs=1e-9)
+    lag = round(model.tau / traj.step)
+    for i in range(10 * lag, len(traj.values) - 1, 997):
+        expect = rhs(model, float(traj.values[i]), float(traj.values[i - lag]))
         assert traj.derivs[i] == pytest.approx(expect, abs=1e-9)
+
+
+@pytest.mark.parametrize("config, p0, t_end, step", [
+    *(ORACLE_CASES[case] for case in
+      ("integer-lag", "non-integer-lag", "shorter-than-block", "powerlaw")),
+    # tau/step = 2e18: the history columns stay below the run's 20 nodes
+    (reference_model(1e17), 0.025, 1.0, 0.05),
+], ids=["integer-lag", "non-integer-lag", "shorter-than-block", "powerlaw",
+        "delay-beyond-the-run"])
+def test_history_is_exact(config, p0, t_end, step):
+    # every node before t = tau reads its delayed price in the history,
+    # which is p0 itself there, bit for bit, not an interpolant between
+    # the columns that stand for the history in the node array
+    traj = simulate(config, p0, t_end, step)
+    early = traj.t < config.tau
+    assert np.count_nonzero(early) > 10
+    rate = config.demand.rates(np.array([p0]))[0] - config.c
+    assert np.array_equal(traj.derivs[early], rate * traj.values[early] * config.k)
 
 
 def test_prices_stay_positive_above_onset():
@@ -585,23 +604,6 @@ def test_read_trajectory_csv_rejects_malformed_file(tmp_path, text, why):
     assert str(path) in str(err.value)
 
 
-def test_dense_output_outside_range():
-    traj = Trajectory(
-        step=1.0,
-        values=np.array([1.0, 2.0, 3.0]),
-        derivs=np.array([0.0, 0.0, 0.0]),
-    )
-    with pytest.raises(ValidationError):
-        traj.at(-0.5)
-    with pytest.raises(ValidationError):
-        traj.at(2.5)
-    with pytest.raises(ValidationError):
-        traj.at(math.nan)
-    with pytest.raises(ValidationError):
-        traj.at(np.array([0.5, math.nan, 1.5]))
-    assert traj.at(2.0) == pytest.approx(3.0, rel=1e-15)
-
-
 def test_trajectory_validation():
     ok = np.array([1.0, 2.0])
     for step in (-1.0, math.nan, math.inf):
@@ -613,11 +615,11 @@ def test_trajectory_validation():
         Trajectory(step=1.0, values=ok, derivs=np.array([0.0]))
 
 
-def test_dense_output_matches_nodes(run_tau30):
-    idx = np.array([100, 5000, 120000])
-    t = idx * run_tau30.step
-    vals = run_tau30.at(t)
-    np.testing.assert_allclose(vals, run_tau30.values[idx], rtol=0, atol=1e-14)
+def test_dense_output_matches_nodes():
+    # at either end of a step the Hermite basis picks out that node's value
+    # exactly, which a delay of a whole number of steps relies on
+    assert dde._hermite_weights(0.0) == (1.0, 0.0, 0.0, 0.0)
+    assert dde._hermite_weights(1.0) == (0.0, 0.0, 1.0, 0.0)
 
 
 @given(
@@ -631,12 +633,16 @@ def test_dense_output_reproduces_cubics(coeffs, step, n, fractions):
     # Cubic Hermite interpolation is exact on cubics: nodes sampling
     # q and q' give back q between the nodes, up to round-off.
     q = np.polynomial.Polynomial(coeffs)
-    t_nodes = step * np.arange(n)
-    traj = Trajectory(step=step, values=q(t_nodes), derivs=q.deriv()(t_nodes))
-    t = np.array(fractions) * traj.t_end
-    reach = max(1.0, traj.t_end)
+    dq = q.deriv()
+    pos = np.array(fractions) * (n - 1)
+    j = np.minimum(pos.astype(int), n - 2)
+    h00, h10, h01, h11 = dde._hermite_weights(pos - j)
+    t0, t1 = step * j, step * (j + 1)
+    dense = h00 * q(t0) + h10 * step * dq(t0) + h01 * q(t1) + h11 * step * dq(t1)
+    t = step * pos
+    reach = max(1.0, step * (n - 1))
     # round-off is relative to the cubic's size, but below the normal range
     # floats keep no relative precision: there the size counts as the
     # smallest normal float, or the tolerance underflows below one ulp
     scale = max(sum(abs(a) * reach**i for i, a in enumerate(coeffs)), np.finfo(float).tiny)
-    np.testing.assert_allclose(traj.at(t), q(t), rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(dense, q(t), rtol=0, atol=1e-13 * scale)

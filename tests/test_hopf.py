@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import logistic_model, reference_model, subcritical_model
+from conftest import logistic_model, reference_model, square_root_model, subcritical_model
 from hopfdual import (
     Chain,
     CycleStability,
@@ -404,6 +404,36 @@ def test_classify_normal_form(normal_form):
     assert verdicts.direction is Direction.SUPERCRITICAL
     assert verdicts.cycle_stability is CycleStability.STABLE
     assert verdicts.period_trend is PeriodTrend.INCREASING
+
+
+def test_square_root_demand_is_subcritical_under_the_normal_form():
+    # the normal form puts an unstable cycle below the onset, where
+    # simulation finds one; the paper's tau2 > 0 puts it above
+    chain = analyze(square_root_model(0.2))
+    assert chain.equilibrium.p_star == pytest.approx(0.96, rel=1e-12)
+    assert chain.linear.tau0 == pytest.approx(0.6544984695, rel=1e-9)
+    nf = chain.normal_form
+    assert nf.tau2 == pytest.approx(-12.44899, rel=1e-6)
+    assert nf.eta2 == pytest.approx(17.2334, rel=1e-5)
+    verdicts = classify(nf)
+    assert verdicts.direction is Direction.SUBCRITICAL
+    assert verdicts.cycle_stability is CycleStability.UNSTABLE
+    assert chain.paper.tau2 == pytest.approx(25.953, rel=1e-4)
+    assert classify(chain.paper).direction is Direction.SUPERCRITICAL
+
+
+def test_square_root_demand_has_a_degenerate_hopf_point():
+    # the normal form's tau2 changes sign near c = 0.505 and is round-off
+    # here, so it is flagged and classify refuses; the paper's is not
+    chain = analyze(square_root_model(0.5052122127638702))
+    nf = chain.normal_form
+    assert nf.degenerate == ("tau2",)
+    assert abs(nf.tau2) < 1e-13
+    with pytest.raises(DegenerateBifurcation) as excinfo:
+        classify(nf)
+    assert excinfo.value.quantity == "tau2"
+    assert chain.paper.degenerate == ()
+    assert chain.paper.tau2 == pytest.approx(2.299, rel=1e-3)
 
 
 @pytest.mark.parametrize("b2", [-5e104, -5e-109])
