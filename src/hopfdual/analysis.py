@@ -59,8 +59,8 @@ class CycleEstimate:
         Half the mean peak-to-trough over complete cycles (LimitCycle);
         the residual excursion |p - p*| for Equilibrium; rough half
         peak-to-trough for Undetermined.
-    period : float
-        Mean upward-crossing spacing; NaN unless regime is LimitCycle.
+    period : float or None
+        Mean upward-crossing spacing; None unless regime is LimitCycle.
     mean : float
         Time average over the measurement window (an integer number of
         cycles for LimitCycle).
@@ -70,7 +70,7 @@ class CycleEstimate:
     """
 
     amplitude: float
-    period: float
+    period: float | None
     mean: float
     regime: Regime
     transient_end: float
@@ -169,7 +169,7 @@ def estimate_cycle(traj: Trajectory, p_star: float) -> CycleEstimate:
     if excursion < EQUILIBRIUM_THRESHOLD * p_star:
         return CycleEstimate(
             amplitude=excursion,
-            period=math.nan,
+            period=None,
             mean=float(w.mean()),
             regime=Regime.EQUILIBRIUM,
             transient_end=transient_end,
@@ -191,7 +191,7 @@ def estimate_cycle(traj: Trajectory, p_star: float) -> CycleEstimate:
     if dispersion >= PERIOD_DISPERSION:
         return CycleEstimate(
             amplitude=(float(w.max()) - float(w.min())) / 2.0,
-            period=math.nan,
+            period=None,
             mean=mean0,
             regime=Regime.UNDETERMINED,
             transient_end=transient_end,
@@ -287,7 +287,7 @@ def sweep(
             cycle = est.regime is Regime.LIMIT_CYCLE
             row = dataclasses.replace(
                 row, regime=est.regime.value, amp_meas=est.amplitude, mean_meas=est.mean,
-                period_meas=est.period if cycle else None,
+                period_meas=est.period,
             )
             if chain.expansion.has_cycle_at(tau):
                 pred = predicted_cycle(chain.expansion, tau)

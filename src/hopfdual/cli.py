@@ -141,7 +141,7 @@ def _g_above_roundoff(x, scale: float = 1.0) -> str:
 
 def _print(report: dict, text_lines: list[str], cfg: RunConfig) -> None:
     """Print the report as JSON or as text lines."""
-    if cfg.json_output:
+    if cfg.json:
         sys.stdout.write(_dump_json(report))
     else:
         sys.stdout.write("\n".join(text_lines) + "\n")
@@ -241,7 +241,7 @@ def cmd_simulate(cfg: RunConfig, argv: list[str]) -> int:
         lines.append(
             f"regime: {est.regime.value}; "
             f"amplitude = {_g_above_roundoff(est.amplitude, est.mean)}, "
-            f"period = {_g(est.period) if math.isfinite(est.period) else '-'}, "
+            f"period = {_g(est.period)}, "
             f"mean = {_g(est.mean)} (transient cut at t = {_g(est.transient_end)})"
         )
         if chain.expansion.has_cycle_at(cfg.tau):
@@ -424,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 else:
                     kind = {"type": functools.partial(setting.read, where=flag),
                             "metavar": setting.metavar}
-                p.add_argument(flag, dest=setting.field, help=setting.help, **kind)
+                p.add_argument(flag, dest=key, help=setting.help, **kind)
     return parser
 
 

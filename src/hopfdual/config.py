@@ -18,16 +18,17 @@ Unknown sections or keys are rejected so typos fail loudly. Every JSON
 report embeds the resolved configuration under the same section/key names,
 so a report can be turned back into a config file mechanically.
 
-`SETTINGS` describes each setting once: its section and key, the
-`RunConfig` field it fills, how its text is parsed, which values are valid
-and, for some, the command-line flag that overrides it.
+Each `RunConfig` field is the one declaration of a setting: its key (the
+field's name), default and section, how its text is parsed, which values
+are valid and, for some, the command-line flag that overrides it.
+`SETTINGS`, section -> key -> `Setting`, is derived from the fields.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, NamedTuple
 
 from .demand import FAMILIES, make_demand
@@ -58,13 +59,13 @@ def _float_list(raw: str) -> list[float]:
 
 
 class Setting(NamedTuple):
-    """One run setting: the RunConfig field it fills, the parser of its
-    text, and its rule `(test, text)`: a value other than None must pass
-    `test`, or the error says the setting must be `text`. A setting with
-    `help` is also the flag `--key` (underscores as hyphens), whose value
-    the usage text calls `metavar`."""
+    """One run setting: its config-file section, the parser of its text,
+    and its rule `(test, text)`: a value other than None must pass `test`,
+    or the error says the setting must be `text`. A setting with `help` is
+    also the flag `--key` (underscores as hyphens), whose value the usage
+    text calls `metavar`."""
 
-    field: str
+    section: str
     parse: Callable[[str], Any]
     rule: tuple[Callable[[Any], bool], str] | None = None
     help: str | None = None
@@ -78,62 +79,49 @@ class Setting(NamedTuple):
             raise ValidationError(f"bad value for {where}: {exc}") from None
 
 
+def _setting(default, section, parse, rule=None, help=None, metavar=None):
+    """A RunConfig field with this default that declares its Setting."""
+    return field(default=default,
+                 metadata={"setting": Setting(section, parse, rule, help, metavar)})
+
+
 _POSITIVE = (lambda v: 0.0 < v < math.inf, "positive")
 _NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "nonnegative")
-
-# section -> key -> setting
-SETTINGS: dict[str, dict[str, Setting]] = {
-    "model": {
-        "demand": Setting("demand_family", str,
-                          (lambda f: f in FAMILIES, "reciprocal or powerlaw")),
-        "w": Setting("w", float, _POSITIVE),
-        "alpha": Setting("alpha", float, _POSITIVE),
-        "k": Setting("k", float, _POSITIVE),
-        "c": Setting("c", float, _POSITIVE),
-    },
-    "simulation": {
-        "tau": Setting("tau", float, _NONNEGATIVE, "feedback delay"),
-        "tau_list": Setting(
-            "tau_list", _float_list,
-            (lambda ts: len(ts) > 0 and all(0.0 <= t < math.inf for t in ts),
-             "a nonempty list of nonnegative delays"),
-            "comma-separated delays (sweep)", "T1,T2,...",
-        ),
-        "step": Setting("step", float, _POSITIVE, "integration step size"),
-        "t_end": Setting("t_end", float, _POSITIVE, "final time"),
-        "history_p0": Setting("history_p0", float, _POSITIVE, "constant initial history value"),
-    },
-    "output": {
-        "out": Setting("out", str, help="write the main output file", metavar="FILE"),
-        "json": Setting("json_output", parse_bool, help="print the JSON report instead of text"),
-        "waveform": Setting("waveform", str),
-    },
-}
 
 
 @dataclass
 class RunConfig:
-    """Fully resolved run settings with package defaults filled in."""
+    """Fully resolved run settings with package defaults filled in. Each
+    field is one setting, named by its file key."""
 
-    demand_family: str = "reciprocal"
-    w: float = 1.0
-    alpha: float | None = None
-    k: float = 0.01
-    c: float = 50.0
-    tau: float | None = None
-    tau_list: list[float] | None = None
-    step: float | None = None
-    t_end: float = 5000.0
-    history_p0: float | None = None
-    out: str | None = None
-    json_output: bool = False
-    waveform: str | None = None
+    demand: str = _setting("reciprocal", "model", str,
+                           (lambda f: f in FAMILIES, "reciprocal or powerlaw"))
+    w: float = _setting(1.0, "model", float, _POSITIVE)
+    alpha: float | None = _setting(None, "model", float, _POSITIVE)
+    k: float = _setting(0.01, "model", float, _POSITIVE)
+    c: float = _setting(50.0, "model", float, _POSITIVE)
+    tau: float | None = _setting(None, "simulation", float, _NONNEGATIVE, "feedback delay")
+    tau_list: list[float] | None = _setting(
+        None, "simulation", _float_list,
+        (lambda ts: len(ts) > 0 and all(0.0 <= t < math.inf for t in ts),
+         "a nonempty list of nonnegative delays"),
+        "comma-separated delays (sweep)", "T1,T2,...",
+    )
+    step: float | None = _setting(None, "simulation", float, _POSITIVE, "integration step size")
+    t_end: float = _setting(5000.0, "simulation", float, _POSITIVE, "final time")
+    history_p0: float | None = _setting(None, "simulation", float, _POSITIVE,
+                                        "constant initial history value")
+    out: str | None = _setting(None, "output", str, help="write the main output file",
+                               metavar="FILE")
+    json: bool = _setting(False, "output", parse_bool,
+                          help="print the JSON report instead of text")
+    waveform: str | None = _setting(None, "output", str)
 
     def validate(self) -> None:
         """Raise ValidationError for the first setting that breaks its rule."""
         for keys in SETTINGS.values():
             for key, setting in keys.items():
-                value = getattr(self, setting.field)
+                value = getattr(self, key)
                 try:
                     ok = value is None or setting.rule is None or setting.rule[0](value)
                 except TypeError:  # argparse passes `--tau=--` on as [], unparsed
@@ -143,17 +131,23 @@ class RunConfig:
 
     def build_model(self) -> ModelConfig:
         """ModelConfig at the configured delay, or at 0 when none is set."""
-        demand = make_demand(self.demand_family, w=self.w, alpha=self.alpha)
+        demand = make_demand(self.demand, w=self.w, alpha=self.alpha)
         tau = self.tau if self.tau is not None else 0.0
         return ModelConfig(k=self.k, c=self.c, tau=tau, demand=demand)
 
     def to_sections(self) -> dict[str, dict]:
         """Resolved settings as nested file-format sections (None omitted)."""
         return {
-            section: {key: value for key, setting in keys.items()
-                      if (value := getattr(self, setting.field)) is not None}
+            section: {key: value for key in keys
+                      if (value := getattr(self, key)) is not None}
             for section, keys in SETTINGS.items()
         }
+
+
+# section -> key -> setting, in RunConfig's field order
+SETTINGS: dict[str, dict[str, Setting]] = {}
+for _f in fields(RunConfig):
+    SETTINGS.setdefault(_f.metadata["setting"].section, {})[_f.name] = _f.metadata["setting"]
 
 
 def resolve_config_path(path: str) -> str:
@@ -218,12 +212,11 @@ def parse_config_file(path: str) -> dict[str, dict]:
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     """Build a RunConfig from defaults, an optional file, and `overrides`
-    (RunConfig field -> value; the CLI passes the flags it was given)."""
+    (key -> value; the CLI passes the flags it was given)."""
     values = {}
     if path is not None:
-        for section, entries in parse_config_file(path).items():
-            for key, value in entries.items():
-                values[SETTINGS[section][key].field] = value
+        for entries in parse_config_file(path).values():
+            values.update(entries)
     cfg = RunConfig(**{**values, **(overrides or {})})
     cfg.validate()
     return cfg

@@ -173,8 +173,8 @@ def simulate(
         If p0 is not a positive, finite price (checked first), if the
         delay, step or t_end is invalid, if the t_end/step + 1 nodes
         would take more bytes than the machine's physical memory, if
-        tau/step is not below 2**63 (an overflow to inf included), or if
-        the demand returns no real array of the delayed prices' shape.
+        tau/step overflows to inf, or if the demand returns no real array
+        of the delayed prices' shape.
     PositivityLoss
         If a computed node price underflows to 0.0 (time reported): each
         step multiplies the price by a factor exp(...) > 0, so this is the
@@ -204,12 +204,10 @@ def simulate(
             f"t_end/step = {steps:.4g} steps need {16.0 * (steps + 1.0):.4g} bytes "
             f"for the trajectory, more than this machine's {memory} bytes of memory"
         )
-    # Past 2**63 (inf included), tau/step is refused as beyond the node indices.
+    # A finite lag of any size runs: a point left of node -n is history.
     lag = tau / step
-    if not lag < 2.0**63:
-        raise ValidationError(
-            f"tau/step = {lag:.4g} must be below 2**63, the range of node indices"
-        )
+    if not math.isfinite(lag):
+        raise ValidationError(f"tau/step = {lag:.4g} must be finite")
     n = int(round(steps))
     h = step
 

@@ -245,22 +245,26 @@ def numeric_taylor_oracle(config: ModelConfig, eq: Equilibrium) -> TaylorCoeffic
 
     F(u, v) = k*(u + p*)*(x(v + p*) - c); the returned b_i are the exact
     coefficients of u^i v^j in its expansion at the origin (b4 is the uv
-    coefficient, b8 the uv^2 coefficient, etc.). F is evaluated through
-    demand.x_complex on one torus (numdiff.mixed_partial) whose two radii
-    are the one that numdiff.circle picks from the demand curve around p*;
-    all nine b_i are entries of its table. Reporting-only: the verify
-    command compares these against the canonical closed forms.
+    coefficient, b8 the uv^2 coefficient, etc.). F is evaluated on one
+    torus (numdiff.mixed_partial) whose two radii are the one that
+    numdiff.circle picks from the demand curve around p*, from the demand
+    samples on that circle: one call of demand.x_complex. All nine b_i are
+    entries of the torus's table. Reporting-only: the verify command
+    compares these against the canonical closed forms.
     """
     p_star = eq.p_star
     k = config.k
     c = config.c
     demand = config.demand
 
-    def F(u, v):
-        return k * (u + p_star) * (demand.x_complex(v + p_star) - c)
-
     # the u circle never touches the demand curve but shares its radius
-    s, _ = numdiff.circle(demand.x_complex, p_star, demand.lo, demand.hi)
+    s, x = numdiff.circle(demand.x_complex, p_star, demand.lo, demand.hi)
+
+    def F(u, v):
+        # the torus's v circle is the circle's points p* + s w^k, in their
+        # order, so the demand's samples there stand for x(v + p*)
+        return k * (u + p_star) * (x - c)
+
     t = numdiff.mixed_partial(F, s, s).tolist()
     return TaylorCoefficients(
         b1=t[1][0], b2=t[0][1], b3=t[2][0], b4=t[1][1], b5=t[0][2],

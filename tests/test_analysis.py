@@ -62,7 +62,7 @@ def test_below_onset_settles_to_equilibrium(run_tau30):
     assert est.regime is Regime.EQUILIBRIUM
     assert est.amplitude < 2e-5
     assert est.mean == pytest.approx(P_STAR, rel=1e-4)
-    assert math.isnan(est.period)
+    assert est.period is None
 
 
 def test_above_onset_measures_a_cycle(run_tau32):
@@ -98,7 +98,7 @@ def test_drifting_period_is_undetermined():
                      chirp=2e-4)
     est = estimate_cycle(traj, P_STAR)
     assert est.regime is Regime.UNDETERMINED
-    assert math.isnan(est.period)
+    assert est.period is None
     assert est.amplitude > 0.0
 
 
@@ -178,7 +178,7 @@ def test_compare_prediction_against_a_zero_mean_offset():
 def test_compare_prediction_regime_mismatch():
     pred = _reference_prediction()
     est = CycleEstimate(
-        amplitude=1e-6, period=math.nan, mean=P_STAR,
+        amplitude=1e-6, period=None, mean=P_STAR,
         regime=Regime.EQUILIBRIUM, transient_end=100.0,
     )
     with pytest.raises(RegimeMismatch):

@@ -370,7 +370,7 @@ def test_simulate_overflowing_lag_exits_2(capsys):
     assert out == ""
     payload = _one_error_line(err)
     assert payload["type"] == "ValidationError"
-    assert payload["message"].startswith("tau/step = inf must be below 2**63")
+    assert payload["message"] == "tau/step = inf must be finite"
 
 
 def test_predict_json_reference(capsys):
@@ -551,6 +551,24 @@ def test_flags_override_config_file(capsys, tmp_path):
     )
     assert report["config"]["simulation"]["tau"] == 3.2
     assert report["stability"]["verdict"] == "unstable"
+
+
+def _shown(action) -> str:
+    """A flag as --help shows it: the flag and the name of its value."""
+    if action.nargs == 0:
+        return action.option_strings[0]
+    return f"{action.option_strings[0]} {action.metavar or action.dest.upper()}"
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_each_command_offers_the_config_flag_and_seven_setting_flags(command):
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    flags = [_shown(a) for a in commands.choices[command]._actions if a.dest != "help"]
+    assert flags == [
+        "--config FILE", "--tau TAU", "--tau-list T1,T2,...", "--step STEP",
+        "--t-end T_END", "--history-p0 HISTORY_P0", "--out FILE", "--json",
+    ]
 
 
 def test_bad_tau_list_value(capsys):

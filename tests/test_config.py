@@ -1,12 +1,13 @@
 """Configuration files: round trip through the file format."""
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopfdual.config import RunConfig, load_config, write_config_file
+from hopfdual.config import SETTINGS, RunConfig, load_config, write_config_file
 
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
@@ -14,7 +15,7 @@ _PATH = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789._-/", min_size=1,
 
 _CONFIGS = st.builds(
     RunConfig,
-    demand_family=st.sampled_from(["reciprocal", "powerlaw"]),
+    demand=st.sampled_from(["reciprocal", "powerlaw"]),
     w=_POSITIVE,
     alpha=st.none() | _POSITIVE,
     k=_POSITIVE,
@@ -25,7 +26,7 @@ _CONFIGS = st.builds(
     t_end=_POSITIVE,
     history_p0=st.none() | _POSITIVE,
     out=st.none() | _PATH,
-    json_output=st.booleans(),
+    json=st.booleans(),
     waveform=st.none() | _PATH,
 )
 
@@ -36,3 +37,15 @@ def test_config_file_round_trip(cfg):
         path = str(Path(tmp) / "run.ini")
         write_config_file(cfg.to_sections(), path)
         assert load_config(path) == cfg
+
+
+def test_settings_are_the_run_config_fields_in_order():
+    # each field declares its setting, keyed by the field's name, so no key
+    # is declared twice, and the sections and keys follow the fields' order
+    keys = [key for section in SETTINGS.values() for key in section]
+    assert keys == [f.name for f in dataclasses.fields(RunConfig)]
+    assert [(section, list(keys)) for section, keys in SETTINGS.items()] == [
+        ("model", ["demand", "w", "alpha", "k", "c"]),
+        ("simulation", ["tau", "tau_list", "step", "t_end", "history_p0"]),
+        ("output", ["out", "json", "waveform"]),
+    ]

@@ -304,12 +304,25 @@ def test_simulate_rejects_nodes_beyond_memory(tau, t_end, step):
         simulate(reference_model(tau), 0.02, t_end=t_end, step=step)
 
 
-@pytest.mark.parametrize("tau", [1e308, 1e300, 1e20])
+@pytest.mark.parametrize("tau", [1e308])
 def test_simulate_refuses_a_lag_beyond_the_node_indices(tau):
-    # tau/step overflows to inf at 1e308; at 1e300 and 1e20 it is finite
-    # but beyond the int64 node indices, which numpy would cast with a warning
-    with pytest.raises(ValidationError, match=r"tau/step = .* must be below 2\*\*63"):
+    # tau/step overflows to inf at 1e308, on which the block length's
+    # math.floor would raise
+    with pytest.raises(ValidationError, match=r"^tau/step = inf must be finite$"):
         simulate(reference_model(tau), 0.02, t_end=1.0, step=0.05)
+
+
+@pytest.mark.parametrize("tau", [1e300, 1e20])
+def test_simulate_runs_a_lag_beyond_the_node_indices_as_history(tau):
+    # tau/step is finite but beyond the int64 node indices: every delayed
+    # price is the history's p0, so each slope is the history's, bit for
+    # bit, and the price grows as p0 exp(k (x(p0) - c) t)
+    model = reference_model(tau)
+    p0 = 0.025
+    traj = simulate(model, p0, t_end=1.0, step=0.05)
+    rate = model.demand.rates(np.array([p0]))[0] - model.c
+    assert np.array_equal(traj.derivs, rate * traj.values * model.k)
+    np.testing.assert_allclose(traj.values, p0 * np.exp(model.k * rate * traj.t), rtol=1e-13)
 
 
 def test_memory_falls_back_to_the_largest_array_size(monkeypatch):

@@ -207,7 +207,8 @@ def test_oracle_across_families():
 def test_oracle_samples_the_radius_probes_and_one_torus(monkeypatch):
     # x ~ p^-30: the radius halves twice from a quarter of p*, one demand
     # call per circle, and F is then called once, on one 8 x 32 torus,
-    # which calls the demand once more on the last circle
+    # whose v circle is the last circle: F reads its samples and does not
+    # call the demand again
     prices, torus = [], []
 
     def func(p):
@@ -230,10 +231,25 @@ def test_oracle_samples_the_radius_probes_and_one_torus(monkeypatch):
     oracle = numeric_taylor_oracle(m, eq)
     assert torus == [(8, 32)]
     radii = [abs(p[0] - eq.p_star) / eq.p_star for p in prices]
-    assert radii == pytest.approx([0.25, 0.125, 0.0625, 0.0625], rel=1e-12)
+    assert radii == pytest.approx([0.25, 0.125, 0.0625], rel=1e-12)
     closed = taylor_coefficients(m, eq)
     assert oracle.b2 == pytest.approx(closed.b2, rel=1e-10)
     assert oracle.b9 == pytest.approx(closed.b9, rel=1e-10)
+
+
+def test_oracle_calls_a_smooth_demand_once():
+    # exp(-p) passes the first circle, whose samples serve the torus too
+    calls = []
+
+    def func(p):
+        calls.append(p)
+        return np.exp(-p)
+
+    m = ModelConfig(k=1.0, c=0.95, tau=1.0, demand=NumericWrapper(func=func))
+    eq = find_equilibrium(m)
+    calls.clear()
+    numeric_taylor_oracle(m, eq)
+    assert len(calls) == 1
 
 
 def test_oracle_preserves_p_star(model, eq):
