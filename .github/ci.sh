@@ -6,6 +6,9 @@
 #       object each prints last reads "correct": true
 #   bash .github/ci.sh no-avx512 CMD...   run CMD with numpy's AVX-512
 #       dispatch targets off
+#   bash .github/ci.sh generic-blas CMD...   run CMD with OpenBLAS's
+#       generic x86-64 (Prescott) kernels in place of the ones it picks for
+#       this machine
 set -e
 
 case "$1" in
@@ -31,8 +34,18 @@ print(" ".join(f for f in m.__cpu_dispatch__
     echo "NPY_DISABLE_CPU_FEATURES=$NPY_DISABLE_CPU_FEATURES"
     exec "$@"
     ;;
+  generic-blas)
+    shift
+    # OpenBLAS picks its kernels by CPU at load time, and a matrix product
+    # that numpy hands to it, as it does the integrator's Hermite reads,
+    # sums in that kernel's order. No result may depend on which kernel
+    # runs, so tests pass under the generic ones too.
+    export OPENBLAS_CORETYPE=Prescott
+    echo "OPENBLAS_CORETYPE=$OPENBLAS_CORETYPE"
+    exec "$@"
+    ;;
   *)
-    echo "usage: $0 reference RUN... | no-avx512 CMD..." >&2
+    echo "usage: $0 reference RUN... | no-avx512 CMD... | generic-blas CMD..." >&2
     exit 2
     ;;
 esac

@@ -21,12 +21,17 @@ steps (at least 8) all lie between nodes that are already computed.
 next), calls the demand once on them, takes every Simpson sum as one
 matrix product of the steps' rate windows with h k (1, 4, 1)/6, and the
 nodes as a running product of the factors. The node values and slopes
-(x - c) p = d/k are the two rows of one array whose leading columns of
-zeros stand for the history, so one gather at a fixed index takes all
-four Hermite inputs of every block, and p0 then replaces the points in the
-history. The slopes' Hermite weights carry h k, and the slope row is
-multiplied by k once, in place, when the run is done. The block length
-follows from tau/step; it is not a setting.
+(x - c) p = d/k are the (value, slope) rows of one array whose leading
+rows of zeros stand for the history. All even points of the half-step
+grid lie at one fraction of a step past their left node and all odd
+points at another, so one matrix product of a strided view of the rows
+with a (6, 2) matrix of Hermite weights gives a block's 2m + 1 delayed
+prices; p0 then replaces those in the history. The slopes' weights carry
+h k, and the slope column is multiplied by k once, in place, when the run
+is done. A full block thus makes six numpy calls here (Hermite product,
+x - c, Simpson product, exp, running product, slopes) and one call of the
+demand's `rates`. The block length follows from tau/step; it is not a
+setting.
 
 The node derivative stored for Hermite interpolation is the exact
 right-hand side at the node, a(t_n) p_n, which makes the interpolant C^1
@@ -78,7 +83,7 @@ def _check_step(step: float) -> None:
 @dataclass(frozen=True)
 class Trajectory:
     """Uniform-grid solution samples with node derivatives, the first at t = 0
-    (the constant history before it is leading columns of `simulate`'s node rows).
+    (the constant history before it is leading rows of `simulate`'s node array).
 
     Attributes
     ----------
@@ -215,41 +220,46 @@ def simulate(
     # In units of h, step i reads the delayed price at i - lag (r0),
     # i + 1/2 - lag (r1) and i + 1 - lag (r2, which is r0 of step i + 1).
     # For steps s .. s+b-1 these are the 2b + 1 points s + q/2 - lag of a
-    # half-step grid; point q lies between nodes s + left[q] and
-    # s + left[q] + 1, with weights that depend only on q.
-    # The end of the block's last step reads up to node s + b + left[0] + 1,
-    # so blocks of ceil(lag) - 2 steps (at least 8, as step <= tau/10) read
+    # half-step grid. An even point s + j - lag lies at the fraction
+    # frac(-lag) past node s + j + le, le = floor(-lag); an odd point
+    # s + j + 1/2 - lag at a second fixed fraction past node
+    # s + j + le + shift, with shift = 0 or 1 for the whole run.
+    # The end of the block's last step reads up to node s + b + le + 1, so
+    # blocks of ceil(lag) - 2 steps (at least 8, as step <= tau/10) read
     # only nodes computed before the block. No block is longer than the run.
-    block = min(-2 - math.floor(-lag), n)
-    half = np.arange(2 * block + 1) / 2.0
-    offset = half - lag
-    left = np.floor(offset)
-    # weights[r] multiplies gathered row r: v_j, s_j, v_{j+1}, s_{j+1} (node
-    # values v, slopes s = d/k for derivatives d), so w10 and w11 carry h k.
-    weights = np.array(_hermite_weights(offset - left))
+    le = math.floor(-lag)
+    block = min(-2 - le, n)
+    shift = math.floor(0.5 - lag) - le
+    # weights[:, 0] and weights[:, 1] take an even and an odd point from the
+    # six entries v_j, s_j, v_{j+1}, s_{j+1}, v_{j+2}, s_{j+2} (node values v,
+    # slopes s = d/k for derivatives d), so the slope weights carry h k.
+    weights = np.zeros((6, 2))
+    weights[:4, 0] = _hermite_weights(-lag - le)
+    weights[2 * shift:2 * shift + 4, 1] = _hermite_weights(0.5 - lag - (le + shift))
     weights[1::2] *= h * k
-    # pad history columns: enough for the furthest point back, but at most n
+    # pad history rows: enough for the furthest point back, but at most n
     # (a point left of node -n is in the history at every step), rounded up
     # to 512 so that a sweep's runs allocate one size, as malloc maps and
     # faults in fresh pages for a block larger than any it has freed before.
-    left = np.maximum(left, -n).astype(int)
-    pad = -(int(left[0]) // 512) * 512
+    pad = -(max(le, -n) // 512) * 512
 
-    # Node values and slopes are the two rows of one (2, pad + n + 1) array
-    # whose first pad columns, zeros, stand for the history: flat[pad + j] is
-    # node j's value and flat[row + pad + j] its slope. Point q of a block at
-    # step s reads nodes s + left[q] and s + left[q] + 1, so one gather at a
-    # fixed index into flat[s:] reads all four Hermite inputs of every
-    # block; p0 then replaces the history's points.
-    row = pad + n + 1
-    rel = left + pad
-    index = np.stack((rel, rel + row, rel + 1, rel + row + 1))
-    node_rows = np.zeros((2, row))
-    flat = node_rows.ravel()
-    values, slopes = node_rows[:, pad:]
+    # Node values and slopes are the (value, slope) rows of one
+    # (pad + n + 1, 2) array whose first pad rows, zeros, stand for the
+    # history. Row j of the read-only view stencils[i] holds the six floats
+    # of rows i + j .. i + j + 2, so stencils[pad + s + le] @ weights gives,
+    # in row j, block s's even and odd point j: raveled, the block's 2b + 1
+    # delayed prices in order. It reads nodes up to s + le + block + 2 <= s,
+    # computed before the block. p0 then replaces the history's points: the
+    # first 2 (-s - le) - shift of them.
+    node_rows = np.zeros((pad + n + 1, 2))
+    values, slopes = node_rows[pad:].T
     values[0] = p0
-    gathered = np.empty((4, 2 * block + 1))
-    delayed = np.empty(2 * block + 1)
+    stencils = np.lib.stride_tricks.as_strided(
+        node_rows, (pad + n - 1 - block, block + 1, 6), (16, 16, 8), writeable=False
+    )
+    history = -2 * le - shift
+    pairs = np.empty((block + 1, 2))
+    delayed = pairs.ravel()
     rate = np.empty(2 * block + 1)
     growth = np.empty(block + 1)
     # Row i of this read-only view of the float64 rates holds step i's r0, r1, r2:
@@ -258,10 +268,11 @@ def simulate(
     simpson = h * k * np.array([1.0, 4.0, 1.0]) / 6.0
 
     def views(b):
-        """Views for b steps: the rates at all 2b + 1 points and at the nodes,
-        the steps' windows, the growth buffer (first node, then factors), the factors."""
+        """Views for b steps: the delayed prices, the rates at all 2b + 1 points
+        and at the nodes, the steps' windows, the growth buffer (first node,
+        then factors), the factors."""
         r = rate[:2 * b + 1]
-        return r, r[::2], windows[:b], growth[:b + 1], growth[1:b + 1]
+        return delayed[:2 * b + 1], r, r[::2], windows[:b], growth[:b + 1], growth[1:b + 1]
 
     # A full block uses these; only a shorter one slices again.
     full = views(block)
@@ -270,25 +281,24 @@ def simulate(
     with np.errstate(over="ignore", invalid="ignore"):
         while s < n:
             b = min(block, n - s)
-            flat[s:].take(index, out=gathered, mode="clip")
-            gathered *= weights
-            # Summed row by row: ((w00 v_j + w10 s_j) + w01 v_{j+1}) + w11 s_{j+1}
-            np.add.reduce(gathered, axis=0, out=delayed)
-            if s < pad:
-                delayed[:int(np.searchsorted(left, -s))] = p0
+            # Where lag > n a stencil would start before row 0; all of such
+            # a block's points are history, so it reads from row 0.
+            np.matmul(stencils[max(pad + s + le, 0)], weights, out=pairs)
+            if 2 * s < history:
+                delayed[:history - 2 * s] = p0
+            points, r, r_nodes, triples, grow, factors = full if b == block else views(b)
             try:
-                x = demand.rates(delayed if b == block else delayed[:2 * b + 1])
+                x = demand.rates(points)
             except DomainViolation:
                 # Fail where one step at a time would: advance only the steps
                 # before the first one that reads a point outside the domain;
                 # the next block then starts at that step and raises.
-                pd = delayed[:2 * b + 1]
-                outside = int(np.argmin((demand.lo < pd) & (pd < demand.hi)))
+                outside = int(np.argmin((demand.lo < points) & (points < demand.hi)))
                 b = (outside - 1) // 2
                 if b <= 0:
                     raise
-                x = demand.rates(delayed[:2 * b + 1])
-            r, r_nodes, triples, grow, factors = full if b == block else views(b)
+                points, r, r_nodes, triples, grow, factors = views(b)
+                x = demand.rates(points)
             try:
                 np.subtract(x, c, out=r)
             except (TypeError, ValueError) as exc:  # another shape, or complex
@@ -312,8 +322,8 @@ def simulate(
             np.multiply(r_nodes, nodes, out=slopes[s:s + b + 1])
             s += b
 
-    # The slope row becomes the derivative row in place: a second array of
-    # n + 1 floats would raise the run's peak memory.
+    # The slope column becomes the derivative column in place: a second
+    # array of n + 1 floats would raise the run's peak memory.
     slopes *= k
     return Trajectory(step=h, values=values, derivs=slopes)
 

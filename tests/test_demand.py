@@ -285,6 +285,30 @@ def test_rates_name_the_first_price_outside_domain(name):
     check()
 
 
+# In-domain prices of every curve with the minimum, 0.2, at flat index 5,
+# in the second row.
+GRID = np.array([[0.9, 0.8, 0.7, 1.0], [1.1, 0.2, 1.2, 0.6], [0.5, 1.3, 0.4, 0.3]])
+
+
+@pytest.mark.parametrize("name", sorted(RATE_CURVES))
+@pytest.mark.parametrize("bads, first", [
+    # nan before the minimum; read by columns, the 0.0 at (1, 0) would come first
+    ({(0, 2): math.nan, (1, 0): 0.0}, math.nan),
+    # nan after the minimum; read by columns, the nan at (2, 1) would come first
+    ({(2, 1): math.nan, (1, 3): 0.0}, 0.0),
+    # nan alone, at a flat index past the rows
+    ({(2, 3): math.nan}, math.nan),
+], ids=["nan-before-minimum", "nan-after-minimum", "nan-alone"])
+def test_rates_name_the_first_price_outside_domain_in_flat_order(name, bads, first):
+    # the domain check reads the extremes by flat index; a row index would
+    # take rows of the grid, not prices
+    prices = GRID.copy()
+    for at, bad in bads.items():
+        prices[at] = bad
+    with pytest.raises(DomainViolation, match=re.escape(f"price {first!r} outside")):
+        RATE_CURVES[name].rates(prices)
+
+
 @pytest.mark.parametrize("name", sorted(RATE_CURVES))
 def test_rates_of_no_prices_is_empty(name):
     out = RATE_CURVES[name].rates(np.array([]))
