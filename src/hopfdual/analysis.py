@@ -4,6 +4,12 @@ estimate_cycle reduces a long trajectory to amplitude/period/mean after
 discarding the transient; sweep runs one simulation per delay value and
 pairs each measurement with the second-order prediction so measured and
 predicted columns sit side by side in the output.
+
+estimate_cycle reads the values from one contiguous copy: simulate's
+values are a strided view, every 16 bytes, of the integrator's node array,
+and the transient heuristic and the window's passes over the copy cost
+less than over the view, copy included. Every result is the float the
+same passes give on the view.
 """
 
 from __future__ import annotations
@@ -154,7 +160,8 @@ def estimate_cycle(traj: Trajectory, p_star: float) -> CycleEstimate:
         If the window is not at equilibrium yet holds fewer than 5
         complete cycles.
     """
-    v = traj.values
+    # one contiguous copy of a strided column (module docstring)
+    v = np.ascontiguousarray(traj.values)
     h = traj.step
     span = h * (len(v) - 1)
     t_heur = _transient_heuristic(v, h)
@@ -165,17 +172,20 @@ def estimate_cycle(traj: Trajectory, p_star: float) -> CycleEstimate:
     wt = h * np.arange(i0, len(v))
     transient_end = float(wt[0])
 
-    excursion = float(np.max(np.abs(w - p_star)))
+    # max |w - p*| from the window's extremes: float subtraction is monotone,
+    # so this is the same float.
+    hi, lo = float(w.max()), float(w.min())
+    excursion = max(hi - p_star, p_star - lo)
+    mean0 = float(w.mean())
     if excursion < EQUILIBRIUM_THRESHOLD * p_star:
         return CycleEstimate(
             amplitude=excursion,
             period=None,
-            mean=float(w.mean()),
+            mean=mean0,
             regime=Regime.EQUILIBRIUM,
             transient_end=transient_end,
         )
 
-    mean0 = float(w.mean())
     m = w - mean0
     ci = np.nonzero((m[:-1] < 0) & (m[1:] >= 0))[0]
     if len(ci) < MIN_CYCLES + 1:
@@ -190,7 +200,7 @@ def estimate_cycle(traj: Trajectory, p_star: float) -> CycleEstimate:
     dispersion = float(periods.std() / period)
     if dispersion >= PERIOD_DISPERSION:
         return CycleEstimate(
-            amplitude=(float(w.max()) - float(w.min())) / 2.0,
+            amplitude=(hi - lo) / 2.0,
             period=None,
             mean=mean0,
             regime=Regime.UNDETERMINED,
@@ -247,6 +257,17 @@ def compare_prediction(est: CycleEstimate, pred: CyclePrediction) -> PredictionE
     )
 
 
+def _real_delay(t) -> float:
+    """t as a float; ValidationError naming t unless it is a real number.
+    Text is refused too, although float() would parse some of it."""
+    if not isinstance(t, (str, bytes)):
+        try:
+            return float(t)
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"delay tau must be a real number, got {t!r}")
+
+
 def sweep(
     config: ModelConfig,
     tau_values,
@@ -262,12 +283,19 @@ def sweep(
     has a cycle (Chain.expansion.has_cycle_at).
 
     Raises ValidationError before integrating anything if tau_values is
-    empty or holds a negative, nan or infinite delay, or if history_p0 is
-    not a positive price.
+    not an iterable of delays, is empty or holds a delay that is not a real
+    number (text counts as none) or is negative, nan or infinite, or if
+    history_p0 is not a positive price.
     """
-    taus = [float(t) for t in tau_values]
-    if not taus:
+    try:
+        values = list(tau_values)
+    except TypeError:
+        raise ValidationError(
+            f"tau_values must be an iterable of delays, got {tau_values!r}"
+        ) from None
+    if not values:
         raise ValidationError("tau_values must be nonempty")
+    taus = [_real_delay(t) for t in values]
     for t in taus:
         check_delay(t)
     chain = analyze(config)

@@ -276,19 +276,33 @@ def simulate(
 
     # A full block uses these; only a shorter one slices again.
     full = views(block)
+    # The loop's functions as locals, and `out` passed positionally (the
+    # third argument of matmul and of a ufunc; accumulate takes axis and
+    # dtype first, so it keeps the keyword): on a block's few hundred
+    # floats, a lookup or a keyword is a measurable part of a call.
+    matmul, subtract, exp, multiply = np.matmul, np.subtract, np.exp, np.multiply
+    accumulate = np.multiply.accumulate
+    demand_rates = demand.rates
+    # block s's stencil row pad + s + le, before it is clamped at row 0
+    first = pad + le
     s = 0
     # Overflow to inf or nan in a block is reported by the node check below.
     with np.errstate(over="ignore", invalid="ignore"):
         while s < n:
-            b = min(block, n - s)
+            b = n - s
+            if b > block:
+                b = block
             # Where lag > n a stencil would start before row 0; all of such
             # a block's points are history, so it reads from row 0.
-            np.matmul(stencils[max(pad + s + le, 0)], weights, out=pairs)
+            row = first + s
+            if row < 0:
+                row = 0
+            matmul(stencils[row], weights, pairs)
             if 2 * s < history:
                 delayed[:history - 2 * s] = p0
             points, r, r_nodes, triples, grow, factors = full if b == block else views(b)
             try:
-                x = demand.rates(points)
+                x = demand_rates(points)
             except DomainViolation:
                 # Fail where one step at a time would: advance only the steps
                 # before the first one that reads a point outside the domain;
@@ -298,17 +312,17 @@ def simulate(
                 if b <= 0:
                     raise
                 points, r, r_nodes, triples, grow, factors = views(b)
-                x = demand.rates(points)
+                x = demand_rates(points)
             try:
-                np.subtract(x, c, out=r)
+                subtract(x, c, r)
             except (TypeError, ValueError) as exc:  # another shape, or complex
                 raise numdiff.array_contract_error(exc) from exc
             # growth = exp(h k (r0 + 4 r1 + r2)/6), Simpson's rule on the rates
-            np.matmul(triples, simpson, out=factors)
-            np.exp(factors, out=factors)
+            matmul(triples, simpson, factors)
+            exp(factors, factors)
             nodes = values[s:s + b + 1]
             grow[0] = nodes[0]
-            np.multiply.accumulate(grow, out=nodes)
+            accumulate(grow, out=nodes)
             # Every factor is in [0, inf] (0 and inf where exp under- or
             # overflows) or nan, so a running product from a node in (0, inf)
             # that leaves (0, inf) stays out of it: 0, inf or nan times such
@@ -319,7 +333,7 @@ def simulate(
                 _check_node(float(tail[i]), (s + i + 1) * h)
             # Node s + b gets its slope here too: the last block thus fills
             # slopes[n], and the next block recomputes the same value.
-            np.multiply(r_nodes, nodes, out=slopes[s:s + b + 1])
+            multiply(r_nodes, nodes, slopes[s:s + b + 1])
             s += b
 
     # The slope column becomes the derivative column in place: a second

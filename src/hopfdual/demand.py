@@ -48,10 +48,12 @@ class DemandFunction:
     def _check_array(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         # The extremes read by index: argmin and argmax cost about a third of
-        # min and max reductions on a block's few hundred prices. Both return
-        # the flat index of the first nan, so a nan price fails the test and
-        # takes the mask path, which names the first price outside.
-        if p.size and not (p.flat[p.argmin()] > self.lo and p.flat[p.argmax()] < self.hi):
+        # min and max reductions on a block's few hundred prices, and `item`
+        # takes their flat index and returns a Python float, cheaper to read
+        # and compare than `flat`'s numpy scalar. Both return the flat index
+        # of the first nan, so a nan price fails the test and takes the mask
+        # path, which names the first price outside.
+        if p.size and not (p.item(p.argmin()) > self.lo and p.item(p.argmax()) < self.hi):
             inside = (self.lo < p) & (p < self.hi)
             self._check(float(p[~inside][0]))
         return p

@@ -1,6 +1,7 @@
 """Cycle measurement, prediction comparison, and delay sweeps."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from hopfdual import (
     compare_prediction,
     estimate_cycle,
     predicted_cycle,
+    simulate,
     sweep,
     write_sweep_csv,
 )
@@ -100,6 +102,113 @@ def test_drifting_period_is_undetermined():
     assert est.regime is Regime.UNDETERMINED
     assert est.period is None
     assert est.amplitude > 0.0
+
+
+def reference_estimate_cycle(traj, p_star):
+    """Reference: `estimate_cycle` as it read before it copied the values
+    into one contiguous array, with the excursion from |w - p*| and every
+    pass on `traj.values` as given. The returned CycleEstimate, and a
+    TooShort's message, must be equal, not close."""
+    v = traj.values
+    h = traj.step
+    span = h * (len(v) - 1)
+    t_heur = analysis._transient_heuristic(v, h)
+    transient_end = max(t_heur, analysis.TRANSIENT_FRACTION * span)
+    transient_end = min(transient_end, 0.9 * span)
+    i0 = int(math.ceil(transient_end / h - 1e-12))
+    w = v[i0:]
+    wt = h * np.arange(i0, len(v))
+    transient_end = float(wt[0])
+
+    excursion = float(np.max(np.abs(w - p_star)))
+    if excursion < analysis.EQUILIBRIUM_THRESHOLD * p_star:
+        return CycleEstimate(excursion, None, float(w.mean()), Regime.EQUILIBRIUM,
+                             transient_end)
+
+    mean0 = float(w.mean())
+    m = w - mean0
+    ci = np.nonzero((m[:-1] < 0) & (m[1:] >= 0))[0]
+    if len(ci) < analysis.MIN_CYCLES + 1:
+        raise TooShort(
+            f"only {max(len(ci) - 1, 0)} complete cycles past the transient; "
+            f"need {analysis.MIN_CYCLES}"
+        )
+    frac = m[ci] / (m[ci] - m[ci + 1])
+    tc = wt[ci] + frac * h
+    periods = np.diff(tc)
+    period = float(periods.mean())
+    if float(periods.std() / period) >= analysis.PERIOD_DISPERSION:
+        return CycleEstimate((float(w.max()) - float(w.min())) / 2.0, None, mean0,
+                             Regime.UNDETERMINED, transient_end)
+
+    amps = []
+    starts = ci.tolist()
+    for base, end in zip(starts, starts[1:]):
+        cycle = w[base:end + 2]
+        peak = analysis._refine_extremum(w, base + int(cycle.argmax()))
+        trough = analysis._refine_extremum(w, base + int(cycle.argmin()))
+        amps.append((peak - trough) / 2.0)
+    amplitude = float(np.mean(amps))
+
+    c0, cn = float(tc[0]), float(tc[-1])
+    i1 = int(np.searchsorted(wt, c0, side="right"))
+    i2 = int(np.searchsorted(wt, cn, side="left")) - 1
+    inner = w[i1 : i2 + 1]
+    integral = h * (float(inner.sum()) - (float(inner[0]) + float(inner[-1])) / 2.0)
+    integral += (wt[i1] - c0) * (mean0 + float(w[i1])) / 2.0
+    integral += (cn - wt[i2]) * (float(w[i2]) + mean0) / 2.0
+    return CycleEstimate(amplitude, period, float(integral / (cn - c0)),
+                         Regime.LIMIT_CYCLE, transient_end)
+
+
+def _interleaved(traj):
+    """traj with its values and derivatives as the strided columns of one
+    (n, 2) array, the layout `simulate` returns."""
+    rows = np.column_stack((traj.values, traj.derivs))
+    return Trajectory(step=traj.step, values=rows[:, 0], derivs=rows[:, 1])
+
+
+def _contiguous(traj):
+    return Trajectory(step=traj.step, values=np.ascontiguousarray(traj.values),
+                      derivs=np.ascontiguousarray(traj.derivs))
+
+
+def _outcome(estimate, traj, p_star):
+    """The estimate, or a TooShort's message."""
+    try:
+        return estimate(traj, p_star)
+    except TooShort as exc:
+        return f"TooShort: {exc}"
+
+
+@pytest.mark.parametrize("case", ["below_onset", "above_onset", "sweep_grid", "too_short",
+                                  "chirp", "settled_below"])
+def test_estimate_cycle_equals_the_reference(case, run_tau30, run_tau32):
+    p0 = analysis.HISTORY_FACTOR * P_STAR
+    make, regime = {
+        "below_onset": (lambda: run_tau30, Regime.EQUILIBRIUM),
+        "above_onset": (lambda: run_tau32, Regime.LIMIT_CYCLE),
+        "sweep_grid": (lambda: simulate(reference_model(3.3), p0, 500.0, 0.02),
+                       Regime.LIMIT_CYCLE),
+        "too_short": (lambda: simulate(reference_model(3.2), p0, 200.0, 0.02), None),
+        "chirp": (lambda: _interleaved(_sinusoid(0.003, 12.0, 0.0, n_periods=160,
+                                                 samples_per_period=240, chirp=2e-4)),
+                  Regime.UNDETERMINED),
+        # its excursion is p* - min, where max - p* is negative
+        "settled_below": (lambda: _interleaved(Trajectory(0.05, np.full(2000, P_STAR - 1e-6),
+                                                          np.zeros(2000))),
+                          Regime.EQUILIBRIUM),
+    }[case]
+    traj = make()
+    # the strided column `simulate` returns, then a contiguous copy of it
+    assert traj.values.strides != (8,)
+    for run in (traj, _contiguous(traj)):
+        got = _outcome(estimate_cycle, run, P_STAR)
+        assert got == _outcome(reference_estimate_cycle, run, P_STAR)
+        if regime is None:
+            assert got.startswith("TooShort: only ")
+        else:
+            assert got.regime is regime
 
 
 def _first_sample_at(t, t_min, h):
@@ -265,6 +374,13 @@ def test_sweep_validation(monkeypatch):
     for bad in (math.nan, math.inf):
         with pytest.raises(ValidationError, match=repr(bad)):
             sweep(model, [bad, 3.0], t_end=100.0)
+    # a delay that is not a real number, text included, is named; a bare
+    # number is not a list of delays
+    for bad in ("x", None, "3.2", 1j):
+        with pytest.raises(ValidationError, match=re.escape(f"got {bad!r}")):
+            sweep(model, [3.0, bad], t_end=100.0)
+    with pytest.raises(ValidationError, match="got 3.2"):
+        sweep(model, 3.2, t_end=100.0)
     with pytest.raises(ValidationError, match="history price"):
         sweep(model, [3.2, 3.3], t_end=500.0, step=0.02, history_p0=-1.0)
 
