@@ -4,6 +4,10 @@
 #   bash .github/ci.sh reference RUN...   one full-size perfbench unit per
 #       RUN ("WORKLOAD SEED") with tracing off; fails unless the result
 #       object each prints last reads "correct": true
+#   bash .github/ci.sh pinned WORKLOAD...   every seed that
+#       perfbench/reference.json pins for each WORKLOAD, one full-size unit
+#       each through the workload's own check, all in one process; fails
+#       if any item fails. It only reads perfbench/.
 #   bash .github/ci.sh no-avx512 CMD...   run CMD with numpy's AVX-512
 #       dispatch targets off
 #   bash .github/ci.sh generic-blas CMD...   run CMD with OpenBLAS's
@@ -19,6 +23,25 @@ case "$1" in
       python perfbench/run.py --workload "$1" --seed "$2" --seconds 1 --trace 0 | tail -n 1 \
         | python -c "import json, sys; r = json.load(sys.stdin); print('$run', r); sys.exit(r['correct'] is not True)"
     done
+    ;;
+  pinned)
+    shift
+    PYTHONPATH="src:perfbench${PYTHONPATH:+:$PYTHONPATH}" python - "$@" <<'EOF'
+import json, sys, tempfile
+import workloads
+with open("perfbench/reference.json", encoding="utf-8") as fh:
+    reference = json.load(fh)
+failed = 0
+for name in sys.argv[1:]:
+    wl = workloads.WORKLOADS[name]
+    for seed, ref in sorted(reference[name].items(), key=lambda item: int(item[0])):
+        with tempfile.TemporaryDirectory() as workdir:
+            inputs = wl.make_inputs(int(seed), workdir=workdir)
+            bad = [why for ok, why in wl.check(inputs, wl.run(inputs), ref) if not ok]
+        print(name, seed, "correct" if not bad else bad, flush=True)
+        failed += len(bad)
+sys.exit(failed != 0)
+EOF
     ;;
   no-avx512)
     shift
@@ -45,7 +68,7 @@ print(" ".join(f for f in m.__cpu_dispatch__
     exec "$@"
     ;;
   *)
-    echo "usage: $0 reference RUN... | no-avx512 CMD... | generic-blas CMD..." >&2
+    echo "usage: $0 reference RUN... | pinned WORKLOAD... | no-avx512 CMD... | generic-blas CMD..." >&2
     exit 2
     ;;
 esac

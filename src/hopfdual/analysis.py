@@ -5,11 +5,12 @@ discarding the transient; sweep runs one simulation per delay value and
 pairs each measurement with the second-order prediction so measured and
 predicted columns sit side by side in the output.
 
-estimate_cycle reads the values from one contiguous copy: simulate's
-values are a strided view, every 16 bytes, of the integrator's node array,
-and the transient heuristic and the window's passes over the copy cost
-less than over the view, copy included. Every result is the float the
-same passes give on the view.
+estimate_cycle reads the values from one contiguous copy of simulate's
+strided view (every 16 bytes of the node array), which its passes read
+faster, copy included. It builds no time axis, as sample j of the window
+is at h * (i0 + j), and finds the upward crossings in one boolean pass,
+w >= mean: for finite floats w - mean < 0 exactly when w < mean. So each
+result is the float that a time axis and a centred copy w - mean give.
 """
 
 from __future__ import annotations
@@ -169,8 +170,7 @@ def estimate_cycle(traj: Trajectory, p_star: float) -> CycleEstimate:
     transient_end = min(transient_end, 0.9 * span)
     i0 = int(math.ceil(transient_end / h - 1e-12))
     w = v[i0:]
-    wt = h * np.arange(i0, len(v))
-    transient_end = float(wt[0])
+    transient_end = float(h * i0)
 
     # max |w - p*| from the window's extremes: float subtraction is monotone,
     # so this is the same float.
@@ -186,18 +186,22 @@ def estimate_cycle(traj: Trajectory, p_star: float) -> CycleEstimate:
             transient_end=transient_end,
         )
 
-    m = w - mean0
-    ci = np.nonzero((m[:-1] < 0) & (m[1:] >= 0))[0]
+    up = w >= mean0
+    ci = np.nonzero(up[1:] > up[:-1])[0]
     if len(ci) < MIN_CYCLES + 1:
         raise TooShort(
             f"only {max(len(ci) - 1, 0)} complete cycles past the transient; "
             f"need {MIN_CYCLES}"
         )
-    frac = m[ci] / (m[ci] - m[ci + 1])
-    tc = wt[ci] + frac * h
-    periods = np.diff(tc)
-    period = float(periods.mean())
-    dispersion = float(periods.std() / period)
+    below, above = w[ci] - mean0, w[ci + 1] - mean0
+    frac = below / (below - above)
+    tc = h * (ci + i0) + frac * h
+    periods = tc[1:] - tc[:-1]
+    # periods.mean() and periods.std() as numpy computes them (the same sums
+    # in the same order, so the same floats) without their Python-level calls
+    period = float(periods.sum()) / len(periods)
+    dev = periods - period
+    dispersion = math.sqrt(float((dev * dev).sum()) / len(periods)) / period
     if dispersion >= PERIOD_DISPERSION:
         return CycleEstimate(
             amplitude=(hi - lo) / 2.0,
@@ -214,17 +218,20 @@ def estimate_cycle(traj: Trajectory, p_star: float) -> CycleEstimate:
         peak = _refine_extremum(w, base + int(cycle.argmax()))
         trough = _refine_extremum(w, base + int(cycle.argmin()))
         amps.append((peak - trough) / 2.0)
-    amplitude = float(np.mean(amps))
+    amplitude = float(np.add.reduce(amps)) / len(amps)  # np.mean(amps), likewise
 
-    # time average over the integer cycle span [tc[0], tc[-1]]; by
-    # construction the interpolated price at each crossing equals mean0
+    # time average over the integer cycle span [c0, cn]; the interpolated
+    # price at each crossing equals mean0. i1 is the first sample after c0,
+    # i2 the last before cn: a crossing from sample j is in [t_j, t_j+2), and
+    # rounding may put it on either side of t_j+1.
     c0, cn = float(tc[0]), float(tc[-1])
-    i1 = int(np.searchsorted(wt, c0, side="right"))
-    i2 = int(np.searchsorted(wt, cn, side="left")) - 1
+    a, b = starts[0], starts[-1]
+    i1 = a + 1 + (c0 >= h * (i0 + a + 1))
+    i2 = b - 1 + (cn > h * (i0 + b)) + (cn > h * (i0 + b + 1))
     inner = w[i1 : i2 + 1]
     integral = h * (float(inner.sum()) - (float(inner[0]) + float(inner[-1])) / 2.0)
-    integral += (wt[i1] - c0) * (mean0 + float(w[i1])) / 2.0
-    integral += (cn - wt[i2]) * (float(w[i2]) + mean0) / 2.0
+    integral += (h * (i0 + i1) - c0) * (mean0 + float(w[i1])) / 2.0
+    integral += (cn - h * (i0 + i2)) * (float(w[i2]) + mean0) / 2.0
     mean_cycle = float(integral / (cn - c0))
 
     return CycleEstimate(
@@ -304,34 +311,27 @@ def sweep(
     check_history_price(p0)
 
     rows: list[DiagramRow] = []
+    empty = (None, None, None)
     for tau in sorted(taus):
-        # A failure keeps what the row holds so far and names itself in status.
-        row = DiagramRow(tau)
+        # A failure keeps what the row got so far and names itself in status;
+        # the row is built once, when it is complete or has failed.
+        regime, meas, pred, errs, status = "", empty, empty, empty, "ok"
         try:
             cfg = dataclasses.replace(config, tau=tau)
             h = default_step(tau, lin.omega0) if step is None else step
             traj = simulate(cfg, p0, t_end, h)
             est = estimate_cycle(traj, p_star)
-            cycle = est.regime is Regime.LIMIT_CYCLE
-            row = dataclasses.replace(
-                row, regime=est.regime.value, amp_meas=est.amplitude, mean_meas=est.mean,
-                period_meas=est.period,
-            )
+            regime, meas = est.regime.value, (est.amplitude, est.period, est.mean)
             if chain.expansion.has_cycle_at(tau):
-                pred = predicted_cycle(chain.expansion, tau)
-                row = dataclasses.replace(
-                    row, amp_pred=pred.amplitude, period_pred=pred.period,
-                    mean_offset_pred=pred.mean_offset,
-                )
-                if cycle:
-                    errs = compare_prediction(est, pred)
-                    row = dataclasses.replace(
-                        row, amp_err=errs.amplitude, period_err=errs.period,
-                        mean_offset_err=errs.mean_offset,
-                    )
+                cycle = predicted_cycle(chain.expansion, tau)
+                pred = (cycle.amplitude, cycle.period, cycle.mean_offset)
+                if est.regime is Regime.LIMIT_CYCLE:
+                    e = compare_prediction(est, cycle)
+                    errs = (e.amplitude, e.period, e.mean_offset)
         except HopfDualError as exc:
-            row = dataclasses.replace(row, status=type(exc).__name__)
-        rows.append(row)
+            status = type(exc).__name__
+        rows.append(DiagramRow(tau, regime, *meas, *pred, *errs[:2], status=status,
+                               mean_offset_err=errs[2]))
     return rows
 
 

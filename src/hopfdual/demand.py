@@ -7,7 +7,8 @@ the curve at one price or on a numpy array of prices, real or complex
 only model.taylor_coefficients asks for. The base class checks prices
 against the domain and builds the rest on x_complex: `x`, the curve at
 one price, and `rates`, the curve over an array of prices (the
-integrator's). Demand must be positive and strictly decreasing wherever
+integrator's, called once a block, which checks the array in its own
+body). Demand must be positive and strictly decreasing wherever
 it is evaluated; the analysis modules rely on x'(p*) < 0.
 """
 
@@ -45,19 +46,6 @@ class DemandFunction:
                 f"price {p!r} outside demand domain ({self.lo!r}, {self.hi!r})"
             )
 
-    def _check_array(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        # The extremes read by index: argmin and argmax cost about a third of
-        # min and max reductions on a block's few hundred prices, and `item`
-        # takes their flat index and returns a Python float, cheaper to read
-        # and compare than `flat`'s numpy scalar. Both return the flat index
-        # of the first nan, so a nan price fails the test and takes the mask
-        # path, which names the first price outside.
-        if p.size and not (p.item(p.argmin()) > self.lo and p.item(p.argmax()) < self.hi):
-            inside = (self.lo < p) & (p < self.hi)
-            self._check(float(p[~inside][0]))
-        return p
-
     def x(self, p: float) -> float:
         """x at one price, checked against the domain."""
         self._check(p)
@@ -68,8 +56,19 @@ class DemandFunction:
 
     def rates(self, p) -> np.ndarray:
         """x at every price of an array, same shape; the whole array is
-        checked against the domain before any evaluation."""
-        p = self._check_array(p)
+        checked against the domain before any evaluation, and the first
+        price outside it in flat order is named. The integrator calls this
+        once a block, so the check is inline: no further Python frame."""
+        p = np.asarray(p, dtype=float)
+        # The extremes read by index: argmin and argmax cost about a third of
+        # min and max reductions on a block's few hundred prices, and `item`
+        # takes their flat index and returns a Python float, cheaper to read
+        # and compare than `flat`'s numpy scalar. Both return the flat index
+        # of the first nan, so a nan price fails the test and takes the mask
+        # path, which names the first price outside.
+        if p.size and not (p.item(p.argmin()) > self.lo and p.item(p.argmax()) < self.hi):
+            inside = (self.lo < p) & (p < self.hi)
+            self._check(float(p[~inside][0]))
         try:
             return self.x_complex(p)
         except (TypeError, ValueError) as exc:

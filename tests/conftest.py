@@ -48,6 +48,16 @@ def logistic_model(tau: float = 1.0) -> ModelConfig:
     return ModelConfig(k=1.0, c=0.5, tau=tau, demand=demand)
 
 
+def exact_cycle_model(tau: float, k: float = 0.4, c: float = 1.0, w: float = 1.0,
+                      beta: float = 2.0) -> ModelConfig:
+    """x(p) = 2c/(1 + (p/w)**beta): p* = w, and in y = ln(p/w) the model is
+    y' = -k c tanh(beta y(t - tau)/2), odd in y, so its slowly oscillating
+    cycle has period 4 tau exactly and an amplitude one quadrature gives;
+    tau0 = pi/(k c beta)."""
+    demand = NumericWrapper(func=lambda p: 2.0 * c / (1.0 + (p / w) ** beta))
+    return ModelConfig(k=k, c=c, tau=tau, demand=demand)
+
+
 @pytest.fixture(scope="session")
 def model():
     return reference_model(3.2)

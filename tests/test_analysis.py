@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import logistic_model, reference_model, subcritical_model
+from conftest import exact_cycle_model, logistic_model, reference_model, subcritical_model
 from hopfdual import analysis
 from hopfdual import (
     SWEEP_HEADER,
@@ -181,8 +181,28 @@ def _outcome(estimate, traj, p_star):
         return f"TooShort: {exc}"
 
 
+def _crossings_on_samples(on_mean):
+    """A steady cycle at step 1/16 whose upward crossings fall on every
+    240th sample. Those samples are set to the window's mean, so a crossing
+    ends exactly on a sample (frac = 1), or to the float just below it, so
+    a crossing starts at a sample and its frac of about 4e-14 does not move
+    its time off the sample's: either way c0 and cn are sample times."""
+    traj = _sinusoid(0.003, 15.0, 0.0, n_periods=40, samples_per_period=240)
+    v = traj.values
+    i0 = round(estimate_cycle(traj, P_STAR).transient_end / traj.step)
+    # setting the samples moves the mean by round-off at most: iterate to
+    # the fixed point
+    for _ in range(5):
+        mean = v[i0:].mean()
+        v[::240] = mean if on_mean else np.nextafter(mean, 0.0)
+    assert v[i0:].mean() == mean
+    return _interleaved(traj)
+
+
 @pytest.mark.parametrize("case", ["below_onset", "above_onset", "sweep_grid", "too_short",
-                                  "chirp", "settled_below"])
+                                  "chirp", "settled_below", "step_0.013", "step_tau_over_100",
+                                  "trajectory_io_long_run", "crossing_ends_on_a_sample",
+                                  "crossing_starts_on_a_sample", "window_at_the_cap"])
 def test_estimate_cycle_equals_the_reference(case, run_tau30, run_tau32):
     p0 = analysis.HISTORY_FACTOR * P_STAR
     make, regime = {
@@ -190,6 +210,24 @@ def test_estimate_cycle_equals_the_reference(case, run_tau30, run_tau32):
         "above_onset": (lambda: run_tau32, Regime.LIMIT_CYCLE),
         "sweep_grid": (lambda: simulate(reference_model(3.3), p0, 500.0, 0.02),
                        Regime.LIMIT_CYCLE),
+        # steps that binary floating point cannot hold, so the sample times
+        # h * i are rounded products
+        "step_0.013": (lambda: simulate(reference_model(3.3), p0, 500.0, 0.013),
+                       Regime.LIMIT_CYCLE),
+        "step_tau_over_100": (lambda: simulate(reference_model(3.2345), p0, 500.0,
+                                               3.2345 / 100),
+                              Regime.LIMIT_CYCLE),
+        # trajectory_io's longest run: 150001 nodes
+        "trajectory_io_long_run": (lambda: simulate(reference_model(3.2), p0, 1500.0, 0.01),
+                                   Regime.LIMIT_CYCLE),
+        "crossing_ends_on_a_sample": (lambda: _crossings_on_samples(True), Regime.LIMIT_CYCLE),
+        "crossing_starts_on_a_sample": (lambda: _crossings_on_samples(False),
+                                        Regime.LIMIT_CYCLE),
+        # growing maxima push the drift heuristic past the 90 % cap
+        "window_at_the_cap": (lambda: _interleaved(_sinusoid(1e-4, 12.76, 0.0, n_periods=160,
+                                                             samples_per_period=240,
+                                                             growth=2e-3)),
+                              Regime.LIMIT_CYCLE),
         "too_short": (lambda: simulate(reference_model(3.2), p0, 200.0, 0.02), None),
         "chirp": (lambda: _interleaved(_sinusoid(0.003, 12.0, 0.0, n_periods=160,
                                                  samples_per_period=240, chirp=2e-4)),
@@ -209,6 +247,55 @@ def test_estimate_cycle_equals_the_reference(case, run_tau30, run_tau32):
             assert got.startswith("TooShort: only ")
         else:
             assert got.regime is regime
+
+
+def exact_cycle_amplitude(tau, k, c, w, beta, nodes=200):
+    """Amplitude w sinh(A) of exact_cycle_model's cycle of period 4 tau.
+
+    In y = ln(p/w), (u, v) = (y(t), y(t - tau)) on the cycle solves
+    u' = -g(v), v' = g(u) with g(y) = k c tanh(beta y/2), which conserves
+    G(u) + G(v), G(y) = (2 k c/beta) ln cosh(beta y/2). The quarter period
+    from (A, 0) to (0, A) is the integral over [0, pi/2] of
+    A cos(theta)/g(u(theta)), v = A sin(theta), by Gauss-Legendre
+    quadrature; bisection on A makes it tau. The differences of G are
+    taken in product forms, without cancellation near theta = pi/2.
+    """
+    x, weights = np.polynomial.legendre.leggauss(nodes)
+    theta = np.pi / 4.0 * (x + 1.0)
+    weights = np.pi / 4.0 * weights
+
+    def quarter(A):
+        a, b = beta * A / 2.0, beta * A * np.sin(theta) / 2.0
+        a_minus_b = beta * A * np.sin(np.pi / 4.0 - theta / 2.0) ** 2
+        # z = ln cosh(a) - ln cosh(b) = (beta/(2 k c)) (G(A) - G(v))
+        z = np.log1p(2.0 * np.sinh((a + b) / 2.0) * np.sinh(a_minus_b / 2.0) / np.cosh(b))
+        u = 2.0 / beta * np.arcsinh(np.sqrt(np.expm1(2.0 * z)))  # G(u) = G(A) - G(v)
+        return float(weights @ (A * np.cos(theta) / (k * c * np.tanh(beta * u / 2.0))))
+
+    lo, hi = 0.0, 1.0
+    while quarter(hi) < tau:
+        lo, hi = hi, 2.0 * hi
+    while lo < (lo + hi) / 2.0 < hi:
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if quarter(mid) < tau else (lo, mid)
+    return w * math.sinh(lo)
+
+
+@pytest.mark.parametrize("ratio", [1.3, 1.6])
+def test_simulation_measures_the_exact_cycle(ratio):
+    # An oracle that shares no code with simulate or estimate_cycle. Bounds:
+    # over tau/tau0 = 1.25, 1.3, ..., 1.65 the relative differences were at
+    # most 2.4e-8 (amplitude, at 1.55) and 1.2e-13 (period, at 1.25), the
+    # same with numpy's AVX-512 code off; at 1.3 and 1.6, 7.0e-9 and 2.1e-8
+    # (amplitude), 1.4e-15 and 5.6e-16 (period). The bounds are about 4 and
+    # 9 times the largest.
+    k, c, w, beta = 0.4, 1.0, 1.0, 2.0
+    tau = ratio * math.pi / (k * c * beta)
+    traj = simulate(exact_cycle_model(tau, k, c, w, beta), 1.25 * w, 150.0 * tau, tau / 100.0)
+    est = estimate_cycle(traj, w)
+    assert est.regime is Regime.LIMIT_CYCLE
+    assert est.amplitude == pytest.approx(exact_cycle_amplitude(tau, k, c, w, beta), rel=1e-7)
+    assert est.period == pytest.approx(4.0 * tau, rel=1e-12)
 
 
 def _first_sample_at(t, t_min, h):
@@ -337,16 +424,20 @@ def test_sweep_reports_a_vanishing_tau2_above_the_onset():
     below, above = _onset_sweep(logistic_model())
     assert (below.regime, below.status) == ("equilibrium", "ok")
     assert below.amp_pred is None
+    # the prediction fails after the measurement: the row keeps the
+    # measurement and has no prediction and no errors
     assert above.status == "DegenerateBifurcation"
-    assert above.amp_pred is None
+    assert above.regime == "limit_cycle"
+    assert None not in (above.amp_meas, above.period_meas, above.mean_meas)
+    assert (above.amp_pred, above.period_pred, above.mean_offset_pred) == (None, None, None)
+    assert (above.amp_err, above.period_err, above.mean_offset_err) == (None, None, None)
 
 
 def test_sweep_keeps_going_past_failed_rows():
     model = reference_model(0.0)
     rows = sweep(model, [3.2], t_end=200.0, step=0.02)
-    assert len(rows) == 1
-    assert rows[0].status == "TooShort"
-    assert rows[0].amp_meas is None
+    # the measurement fails: the row holds its delay and status only
+    assert rows == [DiagramRow(3.2, status="TooShort")]
 
 
 def test_sweep_reports_an_overflowing_lag_in_its_row():
