@@ -13,6 +13,9 @@
 #   bash .github/ci.sh generic-blas CMD...   run CMD with OpenBLAS's
 #       generic x86-64 (Prescott) kernels in place of the ones it picks for
 #       this machine
+#   bash .github/ci.sh csv-bytes CSV...   fails unless each two-column CSV
+#       that hopfdual wrote holds, after its header, exactly the
+#       "%.17g,%.17g\n" rows of the arrays read_trajectory_csv reads from it
 set -e
 
 case "$1" in
@@ -67,8 +70,27 @@ print(" ".join(f for f in m.__cpu_dispatch__
     echo "OPENBLAS_CORETYPE=$OPENBLAS_CORETYPE"
     exec "$@"
     ;;
+  csv-bytes)
+    shift
+    # The writer formats most values with integer arithmetic on uint64
+    # arrays, where a stray int64 operand would turn them into float64 and
+    # drop digits; Python's % is the reference on every numpy version.
+    python - "$@" <<'EOF'
+import sys
+from hopfdual import read_trajectory_csv
+for path in sys.argv[1:]:
+    with open(path, "rb") as fh:
+        fh.readline()
+        body = fh.read()
+    t, p = read_trajectory_csv(path)
+    rows = "".join("%.17g,%.17g\n" % row for row in zip(t.tolist(), p.tolist()))
+    if body != rows.encode("ascii"):
+        sys.exit(f"{path}: bytes differ from the %.17g rows of its own values")
+    print(path, len(t), "rows as %.17g formats them")
+EOF
+    ;;
   *)
-    echo "usage: $0 reference RUN... | pinned WORKLOAD... | no-avx512 CMD... | generic-blas CMD..." >&2
+    echo "usage: $0 reference RUN... | pinned WORKLOAD... | no-avx512 CMD... | generic-blas CMD... | csv-bytes CSV..." >&2
     exit 2
     ;;
 esac

@@ -37,6 +37,12 @@ The node derivative stored for Hermite interpolation is the exact
 right-hand side at the node, a(t_n) p_n, which makes the interpolant C^1
 and keeps the delayed lookups fourth-order accurate away from the breaking
 points that propagate from t = 0 at multiples of tau.
+
+`write_csv_columns` writes trajectories and waveforms as the rows that
+`"%.17g,%.17g\\n" %` makes, CSV_CHUNK_ROWS at a time. A chunk whose values
+are all 0.0 or in [1e-4, 1e17), which %.17g prints in fixed notation, gets
+its digits from exact integer arithmetic on whole arrays (`_csvrows`); any
+other chunk is formatted by `%`.
 """
 
 from __future__ import annotations
@@ -343,13 +349,18 @@ def simulate(
 
 
 # Rows formatted per write: the writer's memory is bounded by one chunk's
-# text and floats, whatever the length of the columns.
-CSV_CHUNK_ROWS = 8192
+# text, floats and work arrays, whatever the length of the columns.
+CSV_CHUNK_ROWS = 2048
 
 
 def write_csv_columns(path, header: str, first: np.ndarray, second: np.ndarray) -> None:
     """Write two float columns under `header` as comma-separated rows with
     17 significant digits, which reproduce every double exactly.
+
+    The bytes are those of `"%.17g,%.17g\\n" % (a, b)` for each row, "\\n"
+    line ends on every platform. A chunk of rows whose values are all 0.0
+    or between 1e-4 and 1e17 is formatted with integer arithmetic on whole
+    arrays (`_csvrows.RowFormatter`); any other chunk row by row with `%`.
 
     Raises ValidationError, before the file is opened, when the columns
     differ in length.
@@ -357,11 +368,13 @@ def write_csv_columns(path, header: str, first: np.ndarray, second: np.ndarray) 
     n = len(first)
     if len(second) != n:
         raise ValidationError(f"{path}: columns of {n} and {len(second)} rows")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
+    from ._csvrows import RowFormatter  # compiled on the first write, not at import
+
+    formatter = RowFormatter(min(n, CSV_CHUNK_ROWS))
+    with open(path, "wb") as fh:
+        fh.write(header.encode("utf-8") + b"\n")
         for i in range(0, n, CSV_CHUNK_ROWS):
-            rows = np.column_stack((first[i:i + CSV_CHUNK_ROWS], second[i:i + CSV_CHUNK_ROWS]))
-            fh.write(("%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist()))
+            fh.write(formatter.rows(first[i:i + CSV_CHUNK_ROWS], second[i:i + CSV_CHUNK_ROWS]))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

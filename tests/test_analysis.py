@@ -249,8 +249,8 @@ def test_estimate_cycle_equals_the_reference(case, run_tau30, run_tau32):
             assert got.regime is regime
 
 
-def exact_cycle_amplitude(tau, k, c, w, beta, nodes=200):
-    """Amplitude w sinh(A) of exact_cycle_model's cycle of period 4 tau.
+def exact_cycle(tau, k, c, w, beta, nodes=200):
+    """Amplitude w sinh(A) and mean of exact_cycle_model's cycle of period 4 tau.
 
     In y = ln(p/w), (u, v) = (y(t), y(t - tau)) on the cycle solves
     u' = -g(v), v' = g(u) with g(y) = k c tanh(beta y/2), which conserves
@@ -259,26 +259,37 @@ def exact_cycle_amplitude(tau, k, c, w, beta, nodes=200):
     A cos(theta)/g(u(theta)), v = A sin(theta), by Gauss-Legendre
     quadrature; bisection on A makes it tau. The differences of G are
     taken in product forms, without cancellation near theta = pi/2.
+    The system is unchanged by (u, v) -> (-v, u), which maps each quarter
+    of the orbit onto the next, so over a period u runs through u(theta),
+    -v, -u(theta) and v with the same times: the time average of w e^u is
+    w times that of (cosh u + cosh v)/2 over the first quarter.
     """
     x, weights = np.polynomial.legendre.leggauss(nodes)
     theta = np.pi / 4.0 * (x + 1.0)
     weights = np.pi / 4.0 * weights
 
     def quarter(A):
+        """u(theta) and dt/dtheta on the quarter from (A, 0) to (0, A)."""
         a, b = beta * A / 2.0, beta * A * np.sin(theta) / 2.0
         a_minus_b = beta * A * np.sin(np.pi / 4.0 - theta / 2.0) ** 2
         # z = ln cosh(a) - ln cosh(b) = (beta/(2 k c)) (G(A) - G(v))
         z = np.log1p(2.0 * np.sinh((a + b) / 2.0) * np.sinh(a_minus_b / 2.0) / np.cosh(b))
         u = 2.0 / beta * np.arcsinh(np.sqrt(np.expm1(2.0 * z)))  # G(u) = G(A) - G(v)
-        return float(weights @ (A * np.cos(theta) / (k * c * np.tanh(beta * u / 2.0))))
+        return u, A * np.cos(theta) / (k * c * np.tanh(beta * u / 2.0))
+
+    def duration(A):
+        return float(weights @ quarter(A)[1])
 
     lo, hi = 0.0, 1.0
-    while quarter(hi) < tau:
+    while duration(hi) < tau:
         lo, hi = hi, 2.0 * hi
     while lo < (lo + hi) / 2.0 < hi:
         mid = (lo + hi) / 2.0
-        lo, hi = (mid, hi) if quarter(mid) < tau else (lo, mid)
-    return w * math.sinh(lo)
+        lo, hi = (mid, hi) if duration(mid) < tau else (lo, mid)
+    u, dt = quarter(lo)
+    v = lo * np.sin(theta)
+    mean = w * float(weights @ ((np.cosh(u) + np.cosh(v)) * dt)) / (2.0 * float(weights @ dt))
+    return w * math.sinh(lo), mean
 
 
 @pytest.mark.parametrize("ratio", [1.3, 1.6])
@@ -288,14 +299,20 @@ def test_simulation_measures_the_exact_cycle(ratio):
     # most 2.4e-8 (amplitude, at 1.55) and 1.2e-13 (period, at 1.25), the
     # same with numpy's AVX-512 code off; at 1.3 and 1.6, 7.0e-9 and 2.1e-8
     # (amplitude), 1.4e-15 and 5.6e-16 (period). The bounds are about 4 and
-    # 9 times the largest.
+    # 9 times the largest. The mean's relative difference rose smoothly over
+    # the same delays, from 4.8e-11 at 1.25 to 4.8e-10 at 1.65 (8.0e-11 at
+    # 1.3, 3.9e-10 at 1.6), also with numpy's AVX-512 code off, while the
+    # oracle's 200- and 400-node quadratures agreed to 2.2e-15; its bound is
+    # about 4 times the largest.
     k, c, w, beta = 0.4, 1.0, 1.0, 2.0
     tau = ratio * math.pi / (k * c * beta)
     traj = simulate(exact_cycle_model(tau, k, c, w, beta), 1.25 * w, 150.0 * tau, tau / 100.0)
     est = estimate_cycle(traj, w)
+    amplitude, mean = exact_cycle(tau, k, c, w, beta)
     assert est.regime is Regime.LIMIT_CYCLE
-    assert est.amplitude == pytest.approx(exact_cycle_amplitude(tau, k, c, w, beta), rel=1e-7)
+    assert est.amplitude == pytest.approx(amplitude, rel=1e-7)
     assert est.period == pytest.approx(4.0 * tau, rel=1e-12)
+    assert est.mean == pytest.approx(mean, rel=2e-9)
 
 
 def _first_sample_at(t, t_min, h):
