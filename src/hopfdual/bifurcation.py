@@ -26,6 +26,8 @@ from .model import TaylorCoefficients, check_delay
 # linear_analysis reports this many critical delays: the onset tau0 and
 # the next two crossings of the family.
 N_CRITICAL = 3
+# -(2n+1)*pi for n = 0, 2, 4, ...: over 2*b2, the critical delays tau_c(n)
+_CRITICAL_NUMERATORS = tuple(-(2 * n + 1) * math.pi for n in range(0, 2 * N_CRITICAL, 2))
 
 
 class StabilityVerdict(Enum):
@@ -82,7 +84,8 @@ def linear_analysis(coeffs: TaylorCoefficients) -> LinearAnalysis:
     if b2 >= 0:
         raise NonNegativeB2(f"b2 = {b2!r} must be negative for a decreasing demand")
     omega0 = -b2
-    tau_c = tuple(-(2 * n + 1) * math.pi / (2 * b2) for n in range(0, 2 * N_CRITICAL, 2))
+    twice_b2 = 2 * b2
+    tau_c = tuple([numerator / twice_b2 for numerator in _CRITICAL_NUMERATORS])
     return LinearAnalysis(
         b2=b2,
         omega0=omega0,

@@ -32,6 +32,7 @@ import enum
 import functools
 import json
 import math
+import operator
 import sys
 
 import numpy as np
@@ -61,6 +62,9 @@ _MATCH_RTOL = 1e-5
 _CONVENTION_RATIOS = {"b4": 2.0, "b8": 3.0}
 _CONVENTION_ATOL = 1e-3
 _ZERO_RTOL = 1e-8
+# the coefficients b1..b9 that verify compares, and a reader of them in order
+_NAMES = tuple(f"b{i}" for i in range(1, 10))
+_COEFFICIENTS = operator.attrgetter(*_NAMES)
 
 # A value below this fraction of its scale is round-off: its digits change
 # with the host's libm and numpy's SIMD code (np.exp differs by an ulp
@@ -330,12 +334,10 @@ def verify_coefficients(model: ModelConfig) -> list[dict]:
 
 
 def _coefficient_rows(model: ModelConfig, eq: Equilibrium) -> list[dict]:
-    closed_map = taylor_coefficients(model, eq).as_dict()
-    oracle_map = numeric_taylor_oracle(model, eq).as_dict()
-    scale = max(1.0, max(abs(v) for v in closed_map.values()))
+    closed = _COEFFICIENTS(taylor_coefficients(model, eq))
+    scale = max(1.0, max(map(abs, closed)))
     rows = []
-    for name, cf in closed_map.items():
-        ov = oracle_map[name]
+    for name, cf, ov in zip(_NAMES, closed, _COEFFICIENTS(numeric_taylor_oracle(model, eq))):
         if cf == 0.0:
             ratio = rel_diff = None
             status = "match" if abs(ov) <= _ZERO_RTOL * scale else "mismatch"

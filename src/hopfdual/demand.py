@@ -52,7 +52,12 @@ class DemandFunction:
         try:
             return self.x_complex(p)
         except OverflowError:
-            raise NumericalError(f"demand {self.name} overflows at price {p!r}") from None
+            raise self.overflow_error(p) from None
+
+    def overflow_error(self, p: float) -> NumericalError:
+        """The error for x overflowing at price p: x raises it, and so does
+        model.find_equilibrium, whose probes call x_complex directly."""
+        return NumericalError(f"demand {self.name} overflows at price {p!r}")
 
     def rates(self, p) -> np.ndarray:
         """x at every price of an array, same shape; the whole array is

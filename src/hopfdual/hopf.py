@@ -203,9 +203,22 @@ class CyclePrediction:
         """Predicted waveform p(t) = p* + eps*sin(wt) + eps^2*u1(wt)."""
         s = self.omega * np.asarray(t, dtype=float)
         h = self.u1_harmonics
-        u1 = h.c1 * np.sin(2 * s) + h.d1 * np.cos(2 * s) + h.e1
-        out = self.p_star + self.epsilon * np.sin(s) + self.epsilon**2 * u1
-        return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
+        # p* + eps*sin(s) + eps^2*(c1*sin(2s) + d1*cos(2s) + e1), summed in
+        # that order in place; on 0-d input s is a numpy scalar, and the
+        # in-place operators rebind it
+        s2 = 2 * s
+        u1 = np.sin(s2)
+        u1 *= h.c1
+        d = np.cos(s2)
+        d *= h.d1
+        u1 += d
+        u1 += h.e1
+        u1 *= self.epsilon**2
+        out = np.sin(s)
+        out *= self.epsilon
+        out += self.p_star
+        out += u1
+        return float(out) if out.ndim == 0 else out
 
 
 def _vanishing(*checks: tuple[str, float, float]) -> tuple[str, ...]:

@@ -30,11 +30,14 @@ surfaces the two conventions side by side. The paper's expansion
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import numdiff
 from .demand import DemandFunction
-from .errors import DomainViolation, NoBracket, ValidationError
+from .errors import DomainViolation, NoBracket, NumericalError, ValidationError
 
 
 def check_delay(tau: float) -> None:
@@ -119,6 +122,18 @@ def rhs(config: ModelConfig, p: float, p_delayed: float) -> float:
     return config.k * p * (config.demand.x(p_delayed) - config.c)
 
 
+def _check_demand_value(demand: DemandFunction, p: float, v) -> None:
+    """Raise unless v, x at price p, is a real number other than nan: a
+    numbers.Real, numpy's scalars included, or a real 0-d array, which
+    np.where and np.asarray return for one price."""
+    if not isinstance(v, numbers.Real) and not (
+        isinstance(v, np.ndarray) and v.shape == () and v.dtype.kind in "biuf"
+    ):
+        raise ValidationError(f"demand {demand.name} at price {p!r} is {v!r}, not a real number")
+    if v != v:
+        raise NumericalError(f"demand {demand.name} is nan at price {p!r}")
+
+
 def find_equilibrium(config: ModelConfig) -> Equilibrium:
     """Solve x(p*) = c by bracket expansion plus Illinois regula falsi.
 
@@ -149,12 +164,25 @@ def find_equilibrium(config: ModelConfig) -> Equilibrium:
         If 60 doublings find no sign change.
     DomainViolation
         If the start point or the bracket walk reaches a demand domain edge.
+    ValidationError
+        If x at a probe is not a real number (None, complex, an array).
+    NumericalError
+        If x at a probe is nan or overflows.
     """
     demand = config.demand
     lo_dom, hi_dom = demand.lo, demand.hi
+    x, c = demand.x_complex, config.c
 
     def g(p: float) -> float:
-        return demand.x(p) - config.c
+        # Every probe lies strictly inside (lo, hi) by construction, so x is
+        # evaluated unchecked; demand.x's overflow rule still applies.
+        try:
+            v = x(p)
+        except OverflowError:
+            raise demand.overflow_error(p) from None
+        if type(v) is not float or v != v:
+            _check_demand_value(demand, p, v)
+        return v - c
 
     p0 = 1.0
     if not (lo_dom < p0 < hi_dom):

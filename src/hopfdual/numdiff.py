@@ -79,7 +79,9 @@ def _real_parts(sums: np.ndarray) -> np.ndarray:
     scale = np.absolute(sums).sum()
     if not scale < math.inf:
         raise NumericalError("function value not finite on the Cauchy circle")
-    return np.where(np.absolute(sums.real) <= _FLOOR * scale, 0.0, sums.real)
+    real = sums.real.copy()
+    real[np.absolute(real) <= _FLOOR * scale] = 0.0
+    return real
 
 
 def _reach(x: float, lo: float | None, hi: float | None) -> float:
@@ -103,15 +105,15 @@ def circle(
     NumericalError when 30 halvings do not get there.
     """
     r = min(0.25 * max(abs(x), 1e-3), _reach(x, lo, hi))
-    for _ in range(_HALVINGS):
-        # numpy warnings off: overflow on a wide circle only shrinks it
-        with np.errstate(all="ignore"):
+    # numpy warnings off: overflow on a wide circle only shrinks it
+    with np.errstate(all="ignore"):
+        for _ in range(_HALVINGS):
             samples = _values(f, _CIRCLE.shape, x + r * _CIRCLE)
             size = np.absolute(samples)
             # nan and inf fail the test, so the circle shrinks past them too
             if size.max() <= _SPREAD * size.min() < math.inf:
                 return r, samples
-        r *= 0.5
+            r *= 0.5
     raise NumericalError(
         f"|f| varies by more than a factor {_SPREAD:g} on every circle around {x!r}"
     )

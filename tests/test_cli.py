@@ -32,8 +32,10 @@ from hopfdual import (
     PowerLaw,
     PredictionErrors,
     Q1Harmonics,
+    Reciprocal,
     TaylorCoefficients,
     U1Harmonics,
+    find_equilibrium,
     predicted_cycle,
     read_trajectory_csv,
 )
@@ -672,6 +674,76 @@ def test_verify_steep_power_law_demand(alpha):
     for demand in (PowerLaw(w=1.0, alpha=alpha), NumericWrapper(func=curve, label="steep")):
         rows = verify_coefficients(ModelConfig(k=0.01, c=50.0, tau=0.0, demand=demand))
         assert [r["name"] for r in rows if r["status"] == "mismatch"] == [], demand.name
+
+
+def reference_coefficient_rows(model, eq):
+    """Reference: `cli._coefficient_rows` as it read when it took both
+    coefficient sets through as_dict, calling the same closed forms and
+    oracle. The rows must be equal, not close."""
+    closed_map = cli.taylor_coefficients(model, eq).as_dict()
+    oracle_map = cli.numeric_taylor_oracle(model, eq).as_dict()
+    scale = max(1.0, max(abs(v) for v in closed_map.values()))
+    rows = []
+    for name, cf in closed_map.items():
+        ov = oracle_map[name]
+        if cf == 0.0:
+            ratio = rel_diff = None
+            status = "match" if abs(ov) <= cli._ZERO_RTOL * scale else "mismatch"
+        else:
+            ratio = ov / cf
+            rel_diff = abs(ov - cf) / abs(cf)
+            if rel_diff <= cli._MATCH_RTOL:
+                status = "match"
+            elif (name in cli._CONVENTION_RATIOS
+                  and abs(ratio - cli._CONVENTION_RATIOS[name]) <= cli._CONVENTION_ATOL):
+                status = "paper-convention"
+            else:
+                status = "mismatch"
+        rows.append({"name": name, "closed_form": cf, "oracle": ov,
+                     "ratio": ratio, "rel_diff": rel_diff, "status": status})
+    return rows
+
+
+def _same_rows(model):
+    eq = find_equilibrium(model)
+    got, want = cli._coefficient_rows(model, eq), reference_coefficient_rows(model, eq)
+    assert got == want
+    # == takes -0.0 for 0.0; the reprs tell them apart
+    assert repr(got) == repr(want)
+
+
+# k, c, w and alpha over the closed_form_grid benchmark's ranges
+@given(
+    family=st.sampled_from(["reciprocal", "powerlaw", "numeric"]),
+    k=st.floats(-3.0, -1.0).map(lambda e: 10.0**e),
+    c=st.floats(0.0, 2.0).map(lambda e: 10.0**e),
+    w=st.floats(-1.0, 1.0).map(lambda e: 10.0**e),
+    alpha=st.floats(0.5, 3.0),
+)
+@example(family="reciprocal", k=0.01, c=50.0, w=1.0, alpha=1.0)
+@example(family="numeric", k=0.01, c=50.0, w=1.0, alpha=0.05)
+def test_coefficient_rows_equal_the_reference(family, k, c, w, alpha):
+    demand = {
+        "reciprocal": lambda: Reciprocal(w=w),
+        "powerlaw": lambda: PowerLaw(w=w, alpha=alpha),
+        "numeric": lambda: NumericWrapper(func=lambda p: (w / p) ** (1.0 / alpha)),
+    }[family]()
+    _same_rows(ModelConfig(k=k, c=c, tau=0.0, demand=demand))
+
+
+# an oracle off in a zero coefficient, a convention ratio and a nonzero one,
+# so that every status, mismatch too, is compared
+def test_coefficient_rows_equal_the_reference_on_mismatches(monkeypatch):
+    oracle = cli.numeric_taylor_oracle
+
+    def off(model, eq):
+        return dataclasses.replace(oracle(model, eq), b1=1e-3, b4=0.0, b9=-2.0)
+
+    monkeypatch.setattr(cli, "numeric_taylor_oracle", off)
+    model = ModelConfig(k=0.01, c=50.0, tau=0.0, demand=Reciprocal(w=1.0))
+    _same_rows(model)
+    statuses = [row["status"] for row in cli._coefficient_rows(model, find_equilibrium(model))]
+    assert set(statuses) == {"match", "paper-convention", "mismatch"}
 
 
 def test_verify_steep_power_law_config_exits_0(capsys, tmp_path):

@@ -240,6 +240,54 @@ def test_waveform_scalar_matches_array(expansion):
         assert pred.sample(t) == pytest.approx(float(arr[i]), rel=1e-15)
 
 
+def reference_sample(pred, t):
+    """Reference: `CyclePrediction.sample` as it read before it summed in
+    place, the waveform formula as written. sample must return the same
+    type, and equal values, not close ones."""
+    s = pred.omega * np.asarray(t, dtype=float)
+    h = pred.u1_harmonics
+    u1 = h.c1 * np.sin(2 * s) + h.d1 * np.cos(2 * s) + h.e1
+    out = pred.p_star + pred.epsilon * np.sin(s) + pred.epsilon**2 * u1
+    return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
+
+
+def _same_sample(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, float):
+        assert repr(got) == repr(want)
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+_finite = st.floats(-1e3, 1e3)
+
+
+@given(
+    omega=st.floats(1e-3, 1e3), epsilon=st.floats(0.0, 10.0), p_star=st.floats(1e-6, 1e6),
+    c1=_finite, d1=_finite, e1=_finite,
+    t=st.lists(st.floats(-1e4, 1e4), max_size=50),
+)
+def test_sample_equals_the_reference(expansion, omega, epsilon, p_star, c1, d1, e1, t):
+    pred = dataclasses.replace(
+        predicted_cycle(expansion, 3.2), omega=omega, epsilon=epsilon, p_star=p_star,
+        u1_harmonics=U1Harmonics(c1=c1, d1=d1, e1=e1),
+    )
+    first = t[0] if t else 0.5
+    for ts in (t, np.array(t), np.array(t).reshape(-1, 1), first, int(first),
+               np.float64(first), np.array(first)):
+        _same_sample(pred.sample(ts), reference_sample(pred, ts))
+    assert type(pred.sample(first)) is float and type(pred.sample(np.array(first))) is float
+
+
+def test_sample_equals_the_reference_on_the_predicted_waveforms(expansion, normal_form):
+    # the grid that predict's waveform file and the benchmark sample
+    for exp in (expansion, normal_form):
+        pred = predicted_cycle(exp, 3.2)
+        for t in (np.linspace(0.0, 5 * pred.period, 1001), np.linspace(0.0, pred.period, 201)):
+            _same_sample(pred.sample(t), reference_sample(pred, t))
+
+
 def test_onset_amplitude_scaling(expansion):
     # epsilon shrinks like sqrt(tau - tau0): each decade in delay excess
     # shrinks the amplitude by sqrt(10)

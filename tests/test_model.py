@@ -6,15 +6,17 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import C, K, reference_model
 from hopfdual import numdiff
 from hopfdual import (
     DomainViolation,
+    HopfDualError,
     ModelConfig,
     NoBracket,
+    NumericalError,
     NumericWrapper,
     PowerLaw,
     Reciprocal,
@@ -110,6 +112,102 @@ def test_start_point_never_lands_on_a_domain_edge(lo, hi):
     ):
         find_equilibrium(m)
     assert probes == []
+
+
+# Decreasing curves for the probe test: one with a root wherever c lies in
+# (0, inf), one that crosses zero, and one whose float pow overflows (an
+# OverflowError, which the solver reports as NumericalError) near p = 0.
+_PROBE_CURVES = {
+    "reciprocal": lambda p: 1.0 / p,
+    "linear": lambda p: 2.0 - p,
+    "steep": lambda p: p**-20.0,
+}
+
+
+@st.composite
+def _domains(draw):
+    """Open price domains (lo, hi): unbounded above, of any width, or only
+    one to six ulp wide."""
+    lo = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e300), st.floats(0.5, 2.0)))
+    kind = draw(st.sampled_from(["unbounded", "wide", "ulps"]))
+    if kind == "unbounded":
+        return lo, math.inf
+    if kind == "wide":
+        return lo, draw(st.floats(lo, 1e308, exclude_min=True))
+    hi = lo
+    for _ in range(draw(st.integers(1, 6))):
+        hi = math.nextafter(hi, math.inf)
+    return lo, hi
+
+
+# find_equilibrium evaluates x_complex unchecked, so every probe it makes
+# must lie strictly inside the domain, whether the solve succeeds or not.
+@settings(deadline=None)
+@given(domain=_domains(), c=st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+       curve=st.sampled_from(sorted(_PROBE_CURVES)))
+@example(domain=(0.0, math.inf), c=50.0, curve="reciprocal")
+@example(domain=(0.0, 1e-300), c=1.0, curve="reciprocal")
+@example(domain=(1e300, math.inf), c=1.0, curve="steep")
+@example(domain=(0.0, math.inf), c=1e-300, curve="steep")
+@example(domain=(1.0, math.nextafter(math.nextafter(math.nextafter(1.0, 2.0), 2.0), 2.0)),
+         c=1.0, curve="linear")
+@example(domain=(0.5, math.nextafter(0.5, 1.0)), c=1.0, curve="reciprocal")
+def test_every_probe_lies_strictly_inside_the_domain(domain, c, curve):
+    lo, hi = domain
+    probes = []
+
+    def func(p):
+        probes.append(p)
+        return _PROBE_CURVES[curve](p)
+
+    demand = NumericWrapper(func=func, domain_lo=lo, domain_hi=hi, label="recording")
+    try:
+        find_equilibrium(ModelConfig(k=K, c=c, tau=1.0, demand=demand))
+    except HopfDualError:
+        pass
+    outside = [p for p in probes if not lo < p < hi]
+    assert outside == [], (lo, hi, outside)
+
+
+@pytest.mark.parametrize("func, shown", [
+    (lambda p: 1 / p + 0j, "(1+0j)"),
+    (lambda p: None, "None"),
+    (lambda p: "0.02", "'0.02'"),
+    (lambda p: np.array([1.0 / p]), "array([1.])"),
+    (lambda p: np.array(1.0 / p + 0j), "array(1.+0.j)"),
+])
+def test_equilibrium_refuses_a_demand_value_that_is_not_a_real_number(func, shown):
+    demand = NumericWrapper(func=func, label="odd")
+    m = ModelConfig(k=K, c=C, tau=1.0, demand=demand)
+    with pytest.raises(ValidationError) as info:
+        find_equilibrium(m)
+    assert str(info.value) == f"demand odd at price 1.0 is {shown}, not a real number"
+
+
+# a nan at the first probe, and one the upward walk 1, 2, 4 meets later
+@pytest.mark.parametrize("func, price", [
+    (lambda p: float("nan"), "1.0"),
+    (lambda p: np.float64(np.nan), "1.0"),
+    (lambda p: 1.0 / p if p < 3.0 else math.nan, "4.0"),
+])
+def test_equilibrium_refuses_a_nan_demand_value(func, price):
+    demand = NumericWrapper(func=func, label="gappy")
+    m = ModelConfig(k=K, c=0.01, tau=1.0, demand=demand)
+    with pytest.raises(NumericalError, match=rf"^demand gappy is nan at price {price}$"):
+        find_equilibrium(m)
+
+
+# numpy scalars, 0-d arrays (np.where's result for one price) and ints are
+# real numbers: each curve meets c = 50 at p = 0.04 (float32 to its precision)
+@pytest.mark.parametrize("func", [
+    lambda p: np.float64(2.0 / p),
+    lambda p: np.where(p > 0.0, 2.0 / p, 0.0),
+    lambda p: np.float32(2.0) / np.float32(p),
+    lambda p: 100 if p < 0.04 else 0,
+])
+def test_equilibrium_accepts_real_numbers_of_any_type(func):
+    eq = find_equilibrium(ModelConfig(k=K, c=C, tau=1.0, demand=NumericWrapper(func=func)))
+    assert abs(eq.p_star - 0.04) <= 1e-6 * 0.04
 
 
 def _power(w, alpha):
